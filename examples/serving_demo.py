@@ -1,85 +1,57 @@
 #!/usr/bin/env python3
-"""Serving hashtag-audience queries: the ISSUE 3 subsystem end to end.
+"""Serving hashtag-audience queries through the worker-process pool.
 
 Drives the serving stack with the synthetic Twitter workload (Section
-8's shape): hashtag audiences are loaded into a sharded
-:class:`~repro.service.BloomService`, concurrent clients fire a mixed
-stream of sample / membership / reconstruction / union requests through
-the in-process submission API, and the demo
-prints what the micro-batching scheduler made of the traffic — batch
-sizes, per-op latency and throughput versus the naive one-request-per-
-call loop.
+8's shape): hashtag audiences are stored in a compiled-plan engine,
+persisted, and served by a :class:`~repro.service.ProcessShardPool` —
+one worker process per shard, all attached to the same memory-mapped
+snapshot.  Concurrent clients fire a mixed stream of sample /
+membership / reconstruction / union requests open-loop, and the demo
+prints what the workers' batching made of the traffic — batch sizes,
+latency and throughput versus the naive one-request-per-call loop.
 
-Run:  python examples/serving_demo.py [--requests 600] [--shards 4]
+Run:  python examples/serving_demo.py [--requests 600] [--workers 2]
+
+Worker processes start with the ``spawn`` method, which re-imports this
+script in every child: the ``__main__`` guard at the bottom is required.
 """
 
 import argparse
+import tempfile
 import threading
 import time
 
 from repro import BloomDB, SyntheticTwitterDataset
-from repro.service import BloomService
+from repro.obs.metrics import export_snapshot
+from repro.service import BatchPolicy, ProcessShardPool
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--namespace", type=int, default=220_000,
-                        help="id namespace (paper: 2.2 billion)")
-    parser.add_argument("--users", type=int, default=12_000,
-                        help="occupied user ids")
-    parser.add_argument("--hashtags", type=int, default=24,
-                        help="hashtag audiences to serve")
-    parser.add_argument("--requests", type=int, default=600)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--clients", type=int, default=8,
-                        help="concurrent client threads")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    dataset = SyntheticTwitterDataset.generate(
-        namespace_size=args.namespace,
-        num_users=args.users,
-        num_hashtags=args.hashtags,
-        rng=args.seed,
-    )
-    print(f"dataset: {dataset.num_users} users, "
-          f"{len(dataset.hashtag_audiences)} hashtag audiences in a "
-          f"namespace of {dataset.namespace_size}")
-
-    service = BloomService.plan(
-        namespace_size=args.namespace,
-        shards=args.shards,
-        max_batch=256,
-        max_delay_ms=2.0,
-        accuracy=0.8,
-        set_size=1_000,
-        seed=args.seed,
-    )
-    names = []
-    for i, audience in enumerate(dataset.hashtag_audiences):
-        name = f"tag-{i:03d}"
-        service.add_set(name, audience)
-        names.append(name)
-    print(f"service: {service!r}")
+def serve(db, names, directory, args):
+    """Serve the mixed plan from worker processes; (seconds, stats)."""
+    pool = ProcessShardPool.from_engine(
+        db, directory, args.workers,
+        policy=BatchPolicy(max_batch=256, max_delay_ms=2.0,
+                           queue_depth=args.requests))
+    print(f"pool: {pool!r}")
 
     # The same mixed plan the serving benchmark uses: mostly samples,
     # some membership probes, a few reconstructions and unions.  Clients
-    # submit open-loop (fire the request, keep the future) — the point
-    # of the scheduler is that a burst of independent requests coalesces
-    # into kernel-sized batches.
+    # submit open-loop (fire the request, keep the future) — a burst of
+    # independent requests coalesces into kernel-sized batches.
     def submit_request(i: int):
         name = names[i % len(names)]
         slot = i % 20
         if slot < 15:
-            return service.submit_sample(name, 1 + i % 8, seed=i)
+            return pool.submit("sample", (name,), rounds=1 + i % 8, seed=i)
         if slot < 18:
-            return service.submit_contains(name, i % args.namespace)
+            return pool.submit("contains", (name,), x=i % args.namespace)
         if slot == 18:
-            return service.submit_reconstruct(name)
-        return service.submit_sample_union(
-            [name, names[(i + 1) % len(names)]], seed=i)
+            return pool.submit("reconstruct", (name,))
+        return pool.submit("sample_union",
+                           (name, names[(i + 1) % len(names)]), seed=i)
 
-    with service:
+    pool.start()
+    try:
         start = time.perf_counter()
         futures = []
         lock = threading.Lock()
@@ -99,13 +71,50 @@ def main() -> None:
         for future in futures:
             future.result(120)
         coalesced_s = time.perf_counter() - start
-        stats = service.stats()
+        stats = export_snapshot(pool.fleet_export())
+    finally:
+        pool.close()
+    return coalesced_s, stats
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--namespace", type=int, default=220_000,
+                        help="id namespace (paper: 2.2 billion)")
+    parser.add_argument("--users", type=int, default=12_000,
+                        help="occupied user ids")
+    parser.add_argument("--hashtags", type=int, default=24,
+                        help="hashtag audiences to serve")
+    parser.add_argument("--requests", type=int, default=600)
+    parser.add_argument("--workers", type=int, default=2,
+                        help="worker processes")
+    parser.add_argument("--clients", type=int, default=8,
+                        help="concurrent client threads")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    dataset = SyntheticTwitterDataset.generate(
+        namespace_size=args.namespace,
+        num_users=args.users,
+        num_hashtags=args.hashtags,
+        rng=args.seed,
+    )
+    print(f"dataset: {dataset.num_users} users, "
+          f"{len(dataset.hashtag_audiences)} hashtag audiences in a "
+          f"namespace of {dataset.namespace_size}")
+
+    db = BloomDB.plan(namespace_size=args.namespace, accuracy=0.8,
+                      set_size=1_000, seed=args.seed, plan="compiled")
+    names = []
+    for i, audience in enumerate(dataset.hashtag_audiences):
+        name = f"tag-{i:03d}"
+        db.add_set(name, audience)
+        names.append(name)
+
+    with tempfile.TemporaryDirectory(prefix="serving-demo-") as directory:
+        coalesced_s, stats = serve(db, names, directory, args)
 
     # The naive shape of the same traffic: one direct engine call each.
-    db = BloomDB.plan(namespace_size=args.namespace, accuracy=0.8,
-                      set_size=1_000, seed=args.seed)
-    for name, audience in zip(names, dataset.hashtag_audiences):
-        db.add_set(name, audience)
     start = time.perf_counter()
     for i in range(args.requests):
         name = names[i % len(names)]
@@ -122,14 +131,14 @@ def main() -> None:
 
     counters = stats["counters"]
     batch = stats["histograms"]["batch_size"]
-    latency = stats["histograms"].get("sample.latency_s", {})
+    latency = stats["histograms"].get("stage.total_s", {})
     print(f"\nserved {counters['served_total']} requests "
           f"({counters.get('errors_total', 0)} errors) on "
-          f"{args.shards} shards")
+          f"{args.workers} worker processes")
     print(f"batches: mean {batch['mean']:.1f} requests, "
           f"max {batch['max']:.0f}")
     if latency:
-        print(f"sample latency: p50 {latency['p50'] * 1e3:.2f} ms, "
+        print(f"request latency: p50 {latency['p50'] * 1e3:.2f} ms, "
               f"p99 {latency['p99'] * 1e3:.2f} ms")
     print(f"coalesced: {args.requests / coalesced_s:,.0f} req/s   "
           f"naive loop: {args.requests / naive_s:,.0f} req/s   "

@@ -32,22 +32,18 @@ Commands
     entry per run).
 
 ``serve``
-    Boot the serving subsystem (:mod:`repro.service`): a sharded engine
-    pool behind a micro-batching scheduler, exposed over a stdlib
-    HTTP/JSON endpoint.  ``--smoke`` boots on a free port, fires a mixed
-    request load through the in-process client and exits non-zero on any
-    error — the CI liveness check.  ``--durable RING_DIR`` journals
-    every write to per-shard WALs (:mod:`repro.durability`) and recovers
-    the ring — snapshot load + WAL replay — on every start; SIGTERM
-    drains, checkpoints and marks the logs clean.  ``--workers N``
-    switches to the multi-process tier (:mod:`repro.service.procpool`):
-    N shard worker *processes* attached to one shared mmap snapshot
-    behind the asyncio front end, writes routed through the leader and
-    fanned out over per-worker WALs; with ``--durable DIR`` the leader
-    additionally journals every write and recovers on start.
+    Boot the serving subsystem (:mod:`repro.service`): ``--workers N``
+    shard worker *processes* attached to one shared mmap snapshot behind
+    the asyncio HTTP/JSON front end, writes routed through the leader and
+    fanned out over per-worker WALs.  ``--durable DIR`` makes the leader
+    a durable engine (:mod:`repro.durability`) that journals every write
+    and recovers — snapshot load + WAL replay — on every start; SIGTERM
+    drains, promotes a final snapshot and marks the logs clean.
+    ``--smoke`` boots on a free port, drives every route over HTTP and
+    exits non-zero on any error — the CI liveness check.
 
 ``recover``
-    Recover a durable engine or ring directory and print the JSON
+    Recover a durable engine directory and print the JSON
     recovery report; ``--inspect`` summarises the WAL read-only,
     ``--verify`` CRC-checks the snapshot blobs, ``--checkpoint`` folds
     the replayed state into a fresh snapshot.
@@ -389,126 +385,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_service(args):
-    """Construct the BloomService the ``serve`` command runs.
-
-    ``--durable`` opens (initialising on first run, recovering after)
-    a durable ring directory; ``--db`` re-shards a saved engine;
-    otherwise an ephemeral engine is built with ``--num-sets``
-    synthetic sets (named ``set00``, ...).
-    """
-    from repro.api import BloomDB
-    from repro.service import BloomService, ServiceConfig
-    from repro.workloads.generators import uniform_query_set
-
-    config = ServiceConfig(
-        shards=args.shards,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        queue_depth=args.queue_depth,
-    )
-    if getattr(args, "durable", None) is not None:
-        return _open_durable_service(args, config)
-    if args.db is not None:
-        _warn_ignored_build_args(args)
-        service = BloomService.from_engine(BloomDB.load(args.db), config)
-        if not service.names():
-            raise SystemExit(f"engine at {args.db} holds no sets")
-        return service
-    service = BloomService.plan(
-        namespace_size=args.namespace,
-        shards=config.shards,
-        max_batch=config.max_batch,
-        max_delay_ms=config.max_delay_ms,
-        queue_depth=config.queue_depth,
-        accuracy=args.accuracy,
-        set_size=args.set_size,
-        family=args.family,
-        tree=args.tree,
-        plan=args.plan,
-        seed=args.seed,
-    )
-    for i in range(args.num_sets):
-        ids = uniform_query_set(args.namespace, args.set_size,
-                                rng=args.seed + i)
-        service.add_set(f"set{i:02d}", ids)
-    return service
-
-
-def _open_durable_service(args, config):
-    """Open-or-create the durable ring behind ``serve --durable``.
-
-    First run (no ``ring.json``): lay the ring out with
-    :func:`~repro.durability.init_ring`, seeded from ``--db`` or an
-    ephemeral engine with ``--num-sets`` synthetic sets.  Every run
-    (including the first) then goes through
-    :func:`~repro.durability.recover_ring` — creation and crash
-    recovery share one code path, and each start prints the per-shard
-    recovery reports.
-    """
-    import pathlib
-
-    from repro.api import BloomDB
-    from repro.durability import init_ring, recover_ring
-    from repro.durability.checkpoint import RING_FILE
-    from repro.service import BloomService
-    from repro.workloads.generators import uniform_query_set
-
-    path = pathlib.Path(args.durable)
-    if not (path / RING_FILE).exists():
-        if args.db is not None:
-            template = BloomDB.load(args.db)
-        else:
-            template = BloomDB.plan(
-                namespace_size=args.namespace,
-                accuracy=args.accuracy,
-                set_size=args.set_size,
-                family=args.family,
-                tree=args.tree,
-                seed=args.seed,
-                plan="compiled",
-                mutation="delta",
-            )
-            for i in range(args.num_sets):
-                ids = uniform_query_set(args.namespace, args.set_size,
-                                        rng=args.seed + i)
-                template.add_set(f"set{i:02d}", ids)
-        init_ring(path, config.shards, template=template,
-                  sync=args.wal_sync, replicas=config.replicas)
-        _log.info("ring_initialised", path=str(path), shards=config.shards,
-                 wal_sync=args.wal_sync)
-    elif args.db is not None:
-        _log.warning("db_ignored", path=str(path),
-                    reason="directory already holds a ring")
-
-    pool, reports = recover_ring(path, sync=args.wal_sync)
-    for report in reports:
-        _log.info("shard_recovered", path=report.path,
-                 epoch=report.recovered_epoch,
-                 snapshot_epoch=report.snapshot_epoch,
-                 replayed=report.records_replayed,
-                 clean=report.clean_shutdown, torn_tail=report.torn_tail,
-                 elapsed_s=round(report.elapsed_s, 3))
-    if pool.num_shards != config.shards:
-        _log.warning("shards_ignored", requested=config.shards,
-                    actual=pool.num_shards,
-                    reason="ring was laid out with a fixed shard count")
-    return BloomService(pool, config)
-
-
-def _build_process_server(args):
-    """Construct the multi-process tier behind ``serve --workers N``.
+def _build_server(args):
+    """Construct the process pool + asyncio front end ``serve`` runs.
 
     ``--db`` serves a saved compiled-plan engine directory in place
     (``EPOCH`` / generation links / per-worker logs live next to the
-    snapshot); ``--durable DIR`` open-or-creates a durable leader there;
-    otherwise an ephemeral engine is built, persisted to a temp
-    directory and served from it.  ``--replicas R`` (R > 1) serves each
-    shard from an R-member replica group with supervised failover
+    snapshot); ``--durable DIR`` open-or-creates a durable leader there
+    (seeded on first run from ``--db`` or an ephemeral engine);
+    otherwise an ephemeral engine with ``--num-sets`` synthetic sets
+    (``set00``, ...) is persisted to a temp directory and served from
+    it.  ``--replicas R`` (R > 1) serves each shard from an R-member
+    replica group with supervised failover
     (:class:`~repro.replication.ReplicatedShardPool`); ``--ack quorum``
     gates write acks on majority application.
     """
+    import atexit
     import pathlib
+    import shutil
     import tempfile
 
     from repro.api import BloomDB
@@ -519,11 +412,12 @@ def _build_process_server(args):
         ProcessShardPool,
     )
 
+    if args.workers <= 0:
+        raise SystemExit("--workers must be at least 1")
     policy = BatchPolicy(max_batch=args.max_batch,
                          max_delay_ms=args.max_delay_ms,
                          queue_depth=args.queue_depth)
-    replicated = getattr(args, "replicas", 1) > 1
-    if replicated:
+    if args.replicas > 1:
         from repro.replication import ReplicatedShardPool
 
         def make_pool(directory, **kwargs):
@@ -539,33 +433,39 @@ def _build_process_server(args):
     if args.durable is not None:
         if not (pathlib.Path(args.durable) / "engine.json").exists():
             template = (BloomDB.load(args.db) if args.db is not None
-                        else _ephemeral_process_engine(args))
+                        else _ephemeral_engine(args))
             _seed_durable_engine(args.durable, template, args.wal_sync)
+        elif args.db is not None:
+            _log.warning("db_ignored", path=str(args.durable),
+                         reason="directory already holds a durable engine")
         pool = make_pool(args.durable, durable=True, sync=args.wal_sync)
-        if pool.recovery_report is not None:
-            report = pool.recovery_report
-            _log.info("leader_recovered", path=report.path,
-                      epoch=report.recovered_epoch,
-                      replayed=report.records_replayed,
-                      elapsed_s=round(report.elapsed_s, 3))
+        report = pool.recovery_report
+        _log.info("leader_recovered", path=report.path,
+                  epoch=report.recovered_epoch,
+                  replayed=report.records_replayed,
+                  clean=report.clean_shutdown,
+                  elapsed_s=round(report.elapsed_s, 3))
     elif args.db is not None:
         _warn_ignored_build_args(args)
         pool = make_pool(args.db)
+        if not len(pool.leader.store):
+            raise SystemExit(f"engine at {args.db} holds no sets")
     else:
         directory = pathlib.Path(tempfile.mkdtemp(prefix="repro-serve-"))
-        _ephemeral_process_engine(args).save(directory)
+        atexit.register(shutil.rmtree, directory, ignore_errors=True)
+        _ephemeral_engine(args).save(directory)
         pool = make_pool(directory)
-    service = ProcessService(pool)
-    return AsyncReproServer(service, host=args.host, port=args.port)
+    return AsyncReproServer(ProcessService(pool), host=args.host,
+                            port=args.port)
 
 
 def _seed_durable_engine(directory, template, sync: str) -> None:
     """Persist ``template`` as a durable leader engine at ``directory``.
 
-    Same config upgrade as :func:`~repro.durability.init_ring` applies
-    per shard — durability on, compiled plan, delta mutation — with the
-    template's sets and occupancy carried over; the pool then recovers
-    it through the normal :func:`~repro.durability.open_durable` path.
+    The config is upgraded to durability on, compiled plan and delta
+    mutation, with the template's sets and occupancy carried over; the
+    pool then recovers it through the normal
+    :func:`~repro.durability.open_durable` path.
     """
     import dataclasses
 
@@ -585,8 +485,8 @@ def _seed_durable_engine(directory, template, sync: str) -> None:
     db.save(directory)
 
 
-def _ephemeral_process_engine(args):
-    """A compiled-plan engine with synthetic sets for ``--workers``."""
+def _ephemeral_engine(args):
+    """A compiled-plan engine with ``--num-sets`` synthetic sets."""
     from repro.api import BloomDB
     from repro.workloads.generators import uniform_query_set
 
@@ -607,163 +507,125 @@ def _ephemeral_process_engine(args):
     return db
 
 
-def _run_process_smoke(server, args) -> int:
-    """Process-tier smoke: boot, verify bit-identity over HTTP, mutate.
+def _run_smoke(server, args) -> int:
+    """Boot on a free port, drive every route over HTTP, fail on any error.
 
-    Samples every set through the asyncio endpoint with pinned seeds and
-    compares the values *and* operation counters against the leader
-    engine's direct answers — the cross-process bit-identity contract —
-    then exercises the write path (insert + add-set + compact, and
-    checkpoint on durable pools).
+    Four phases, each over the asyncio endpoint:
+
+    1. a mixed load of ``--requests`` concurrent reads (sample, contains,
+       reconstruct, sample-union), none of which may fail;
+    2. one seeded sample per set compared — values *and* operation
+       counters — with the leader engine's direct answer;
+    3. mutate-while-serving: insert fresh ids, add and reconstruct a
+       set, retire the ids again (``dynamic`` only), and check that a
+       seeded sample is identical before and after ``/compact``;
+    4. ``/checkpoint`` on durable pools, every worker alive, and a
+       ``/stats`` snapshot that counts the load with zero errors.
     """
+    import concurrent.futures
+    import random
+
+    import numpy as np
+
     from repro.api.batch import SampleSpec
     from repro.service import HTTPServiceClient
     from repro.service.client import HTTPError, encode_result
 
     failures: list[str] = []
     with server:
+        pool = server.client.pool
         print(f"smoke: serving on {server.url} "
-              f"({server.client.pool.num_workers} worker processes)")
+              f"({pool.num_workers} worker processes)")
         http = HTTPServiceClient(server.url)
-        leader = server.client.pool.leader
+        leader = pool.leader
         names = sorted(leader.store.names())
+        # The op mix is pre-drawn so client threads never share the RNG.
+        rolls = [random.Random(args.seed + i).random()
+                 for i in range(args.requests)]
+
+        def one_request(i: int) -> None:
+            name = names[i % len(names)]
+            if rolls[i] < 0.70:
+                http.sample(name, r=1 + i % 8, seed=i)
+            elif rolls[i] < 0.90:
+                http.contains(name, i % args.namespace)
+            elif rolls[i] < 0.98:
+                http.reconstruct(name)
+            else:
+                http.sample_union([name, names[(i + 1) % len(names)]],
+                                  seed=i)
+
+        with concurrent.futures.ThreadPoolExecutor(8) as executor:
+            for i, future in enumerate([executor.submit(one_request, i)
+                                        for i in range(args.requests)]):
+                exc = future.exception()
+                if exc is not None:
+                    failures.append(
+                        f"request {i}: {type(exc).__name__}: {exc}")
+
         for i, name in enumerate(names):
-            got = http.sample(name, r=args.requests // max(len(names), 1)
-                              or 1, seed=1000 + i)
-            spec = SampleSpec(name, got["requested"], True, seed=1000 + i,
-                              key="0")
+            got = http.sample(name, r=8, seed=1000 + i)
+            spec = SampleSpec(name, 8, True, seed=1000 + i, key="0")
             want = encode_result(leader.sample_many([spec]).ordered()[0])
             if got != want:
                 failures.append(f"sample({name}) diverged from the "
                                 f"leader engine")
-        ids = [args.namespace - 1 - i for i in range(4)]
-        if http.insert_ids(ids).get("inserted") != len(ids):
-            failures.append("insert_ids failed")
+
         try:
-            http.add_set("smoke", ids)
-        except HTTPError as exc:
-            if exc.status != 409:  # durable reruns already hold the set
-                raise
-        recon = http.reconstruct("smoke", exhaustive=True)
-        if sorted(set(recon["elements"])) != sorted(ids):
-            failures.append(f"reconstruct(smoke) -> {recon['elements']}")
-        http.compact()
-        if server.client.pool.durable:
-            http.checkpoint()
+            occupied = leader.occupied
+            fresh = np.arange(args.namespace - 1, args.namespace - 65, -1,
+                              dtype=np.uint64)
+            if occupied is not None:
+                fresh = np.setdiff1d(fresh, occupied)[:4]
+            else:
+                fresh = fresh[:4]
+            ids = [int(v) for v in fresh]
+            if http.insert_ids(ids).get("inserted") != len(ids):
+                failures.append("insert_ids failed")
+            try:
+                http.add_set("smoke", ids)
+            except HTTPError as exc:
+                if exc.status != 409:  # durable reruns already hold it
+                    raise
+            recon = http.reconstruct("smoke", exhaustive=True)
+            if sorted(set(recon["elements"])) != sorted(ids):
+                failures.append(f"reconstruct(smoke) -> {recon['elements']}")
+            retired = 0
+            if leader.spec.supports_remove:
+                retired = http.retire_ids(ids)["retired"]
+            before = http.sample(names[0], r=4, seed=2)
+            epoch = http.compact()["epoch"]
+            after = http.sample(names[0], r=4, seed=2)
+            if before != after:
+                failures.append(f"compaction changed a seeded sample: "
+                                f"{before} != {after}")
+            print(f"smoke: mutate-while-serving OK (inserted {len(ids)}, "
+                  f"retired {retired}, compacted to epoch {epoch})")
+            if pool.durable:
+                http.checkpoint()
+        except Exception as exc:  # noqa: BLE001 - smoke must report all
+            failures.append(f"mutate phase: {type(exc).__name__}: {exc}")
+
         workers = http.workers()["workers"]
         if not all(w["alive"] for w in workers):
             failures.append(f"dead workers: {workers}")
-    for failure in failures:
-        print(f"smoke: FAIL {failure}")
-    print("smoke: " + ("FAILED" if failures else
-                       f"OK ({len(names)} sets verified bit-identical)"))
-    return 1 if failures else 0
-
-
-def _run_smoke(service, args) -> int:
-    """Boot on a free port, fire a mixed load, fail on any error."""
-    import random
-    import threading
-
-    from repro.service import HTTPServiceClient, ReproServer, ServiceClient
-
-    with ReproServer(service, host=args.host, port=0) as server:
-        print(f"smoke: serving on {server.url} "
-              f"({service.pool.num_shards} shards)")
-        client = ServiceClient(service)
-        names = service.names()
-        # The op mix is pre-drawn so worker threads never share the RNG.
-        plan = [random.Random(args.seed + i).random()
-                for i in range(args.requests)]
-        failures = []
-
-        def one_request(i: int) -> None:
-            name = names[i % len(names)]
-            roll = plan[i]
-            try:
-                if roll < 0.70:
-                    client.sample(name, r=1 + i % 8, seed=i)
-                elif roll < 0.90:
-                    client.contains(name, i % args.namespace)
-                elif roll < 0.98:
-                    client.reconstruct(name)
-                else:
-                    client.sample_union([name, names[(i + 1) % len(names)]],
-                                        seed=i)
-            except Exception as exc:  # noqa: BLE001 - smoke must report all
-                failures.append(f"request {i}: {type(exc).__name__}: {exc}")
-
-        threads = [threading.Thread(target=one_request, args=(i,))
-                   for i in range(args.requests)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-
-        failures.extend(_smoke_mutate(service, server, client, names))
-
-        stats = HTTPServiceClient(server.url).stats()
+        stats = http.stats()
         counters = stats["counters"]
         served = counters.get("served_total", 0)
         errors = counters.get("errors_total", 0)
         batch = stats["histograms"].get("batch_size", {})
         print(f"smoke: {served} served, {errors} errors, "
-              f"mean batch {batch.get('mean')}, "
-              f"max batch {batch.get('max')}")
-        for line in failures[:5]:
-            _log.error("smoke_failure", detail=line)
-        if failures or errors or served < args.requests:
-            print("smoke: FAILED", file=sys.stderr)
-            return 1
-        if not counters or not stats["histograms"]:
-            print("smoke: FAILED (empty /stats)", file=sys.stderr)
-            return 1
-        print("smoke: OK")
-        return 0
-
-
-def _smoke_mutate(service, server, client, names) -> list[str]:
-    """Mutate-while-serving: insert -> sample -> retire -> compact -> sample.
-
-    Exercises the epoch-atomic write path on occupancy-tracking
-    backends: ids are inserted over HTTP, sampling keeps flowing, ids
-    are retired again (``dynamic`` only), and the pre-/post-compaction
-    samples of one seeded request must be bit-identical (compaction may
-    never change results).  Returns failure descriptions.
-    """
-    import numpy as np
-
-    from repro.service import HTTPServiceClient
-
-    spec = service.pool.engines[0].spec
-    if not spec.requires_occupied:
-        return []
-    failures: list[str] = []
-    try:
-        occupied = service.pool.engines[0].occupied
-        fresh = np.setdiff1d(
-            np.arange(service.pool.config.namespace_size, dtype=np.uint64),
-            occupied)[:64]
-        http = HTTPServiceClient(server.url)
-        http.insert_ids(fresh)
-        client.sample(names[0], r=4, seed=1)
-        if spec.supports_remove:
-            http.retire_ids(fresh)
-        before = client.sample(names[0], r=4, seed=2)
-        http.compact()
-        after = client.sample(names[0], r=4, seed=2)
-        if before != after:
-            failures.append(
-                f"compaction changed a seeded sample: {before} != {after}")
-        epochs = [None if e is None else e.epoch
-                  for e in service.pool.ring_epochs()]
-        print(f"smoke: mutate-while-serving OK "
-              f"(inserted {fresh.size}, "
-              f"retired {fresh.size if spec.supports_remove else 0}, "
-              f"ring epochs {epochs})")
-    except Exception as exc:  # noqa: BLE001 - smoke must report all
-        failures.append(f"mutate phase: {type(exc).__name__}: {exc}")
-    return failures
+              f"mean batch {batch.get('mean')}, max batch {batch.get('max')}")
+        if errors or served < args.requests:
+            failures.append(f"/stats counted {served} served, {errors} "
+                            f"errors for {args.requests} requests")
+    for failure in failures[:10]:
+        print(f"smoke: FAIL {failure}", file=sys.stderr)
+    if failures:
+        print("smoke: FAILED", file=sys.stderr)
+        return 1
+    print(f"smoke: OK ({len(names)} sets verified bit-identical)")
+    return 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -771,137 +633,57 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.core.mmapio import CorruptBlobError
-    from repro.durability import (
-        CorruptWalError,
-        inspect_wal,
-        recover_engine,
-        recover_ring,
-    )
-    from repro.durability.checkpoint import (
-        RING_FILE,
-        read_ring_meta,
-        shard_dirs,
-    )
+    from repro.durability import CorruptWalError, inspect_wal, recover_engine
 
     configure_logging(args.log_level)
     path = pathlib.Path(args.path)
-    is_ring = (path / RING_FILE).exists()
     try:
         if args.inspect:
-            if is_ring:
-                meta = read_ring_meta(path)
-                payload = {
-                    "ring": meta,
-                    "shards": [inspect_wal(d)
-                               for d in shard_dirs(path, meta["shards"])],
-                }
-            else:
-                payload = inspect_wal(path)
-            print(json.dumps(payload, indent=2))
+            print(json.dumps(inspect_wal(path), indent=2))
             return 0
-        if is_ring:
-            pool, reports = recover_ring(path, verify=args.verify)
-            engines = pool.engines
-        else:
-            db, report = recover_engine(path, verify=args.verify)
-            engines, reports = [db], [report]
+        db, report = recover_engine(path, verify=args.verify)
         if args.checkpoint:
-            for db in engines:
-                summary = db.checkpoint()
-                _log.info("checkpointed", path=summary["path"],
-                          epoch=summary["epoch"],
-                          wal_segments_removed=summary[
-                              "wal_segments_removed"])
-        for db in engines:
-            db.wal.mark_clean()
-            db.wal.close()
+            summary = db.checkpoint()
+            _log.info("checkpointed", path=summary["path"],
+                      epoch=summary["epoch"],
+                      wal_segments_removed=summary["wal_segments_removed"])
+        db.wal.mark_clean()
+        db.wal.close()
     except FileNotFoundError as exc:
         raise SystemExit(str(exc))
     except (CorruptWalError, CorruptBlobError) as exc:
         raise SystemExit(f"recovery failed: {exc}")
-    payload = [r.describe() for r in reports]
-    print(json.dumps(payload if is_ring else payload[0], indent=2))
+    print(json.dumps(report.describe(), indent=2))
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: process pool behind the asyncio front end."""
     import signal
     import threading
-
-    from repro.service import ReproServer
 
     configure_logging(args.log_level)
-    if args.workers is not None:
-        return _cmd_serve_multiproc(args)
-    if getattr(args, "replicas", 1) > 1:
-        raise SystemExit("--replicas needs the process tier: add "
-                         "--workers N")
-    service = _build_service(args)
-    if args.smoke:
-        return _run_smoke(service, args)
-    server = ReproServer(service, host=args.host, port=args.port)
-    print(f"serving {len(service.names())} sets on {server.url} "
-          f"({service.pool.num_shards} shards, "
-          f"max_batch={service.config.max_batch}, "
-          f"max_delay_ms={service.config.max_delay_ms}"
-          + (", durable" if service.durable else "") + ")")
-    print("endpoints: GET /healthz /readyz /stats /metrics /trace; "
-          "POST /sample /reconstruct /contains /sample-union "
-          "/sample-intersection /add-set /insert /retire /compact "
-          "/checkpoint")
-
-    # Graceful shutdown: SIGTERM/SIGINT stop the accept loop, drain the
-    # workers, and (durable rings) take a final checkpoint + write the
-    # clean-shutdown markers, so the next start skips WAL replay.  The
-    # handler only sets an event — all real work happens on the main
-    # thread, where it is safe.
-    stop_event = threading.Event()
-
-    def _request_stop(signum, frame):  # noqa: ARG001 - signal signature
-        stop_event.set()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:  # pragma: no cover - non-main thread (tests)
-            pass
-    server.start()
-    try:
-        stop_event.wait()
-        print("shutting down"
-              + (" (draining + final checkpoint)" if service.durable
-                 else " (draining)"))
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.close()
-    return 0
-
-
-def _cmd_serve_multiproc(args: argparse.Namespace) -> int:
-    """The ``serve --workers N`` path: process pool + asyncio front end."""
-    import signal
-    import threading
-
     if args.smoke:
         args.port = 0
-        return _run_process_smoke(_build_process_server(args), args)
-    server = _build_process_server(args)
+        return _run_smoke(_build_server(args), args)
+    server = _build_server(args)
     pool = server.client.pool
-    replicated = getattr(args, "replicas", 1) > 1
     print(f"serving {len(pool.leader.store)} sets with "
           f"{pool.num_workers} worker processes "
           f"(shared mmap snapshot, max_batch={pool.policy.max_batch}, "
           f"max_delay_ms={pool.policy.max_delay_ms}"
           + (f", replication={args.replicas} ack={args.ack}"
-             if replicated else "")
+             if args.replicas > 1 else "")
           + (", durable" if pool.durable else "") + ")")
     print("endpoints: GET /healthz /readyz /stats /metrics /trace "
           "/workers; POST /sample /reconstruct /contains /sample-union "
           "/sample-intersection /add-set /insert /retire /compact "
           "/checkpoint")
 
+    # Graceful shutdown: SIGTERM/SIGINT stop the accept loop, drain the
+    # workers, promote a final snapshot and write the clean-shutdown
+    # markers, so the next start skips WAL replay.  The handler only
+    # sets an event — all real work happens on the main thread.
     stop_event = threading.Event()
 
     def _request_stop(signum, frame):  # noqa: ARG001 - signal signature
@@ -1000,11 +782,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="serve sampling/reconstruction over HTTP "
-                      "(sharded pool + micro-batching scheduler)")
+                      "(worker processes behind an asyncio front end)")
     from repro.api.config import backends_available, families_available
     defaults = _BUILD_ARG_DEFAULTS
     serve.add_argument("--db", default=None,
-                       help="saved engine directory to re-shard and serve")
+                       help="saved compiled-plan engine directory to serve "
+                            "in place")
     serve.add_argument("--namespace", "-M", type=int,
                        default=defaults["namespace"])
     serve.add_argument("--set-size", "-n", type=int,
@@ -1015,32 +798,23 @@ def build_parser() -> argparse.ArgumentParser:
                        default=defaults["tree"])
     serve.add_argument("--family", choices=families_available(),
                        default=defaults["family"])
-    serve.add_argument("--plan", choices=("objects", "compiled"),
-                       default="objects",
-                       help="descent execution plan for ephemeral engines "
-                            "(compiled: flat-array descent + epoch/delta "
-                            "mutation pipeline)")
     serve.add_argument("--seed", type=int, default=defaults["seed"])
     serve.add_argument("--num-sets", type=int, default=8,
                        help="synthetic sets for ephemeral engines "
                             "(default: 8)")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="engine shards / worker threads (default: 4)")
     serve.add_argument("--max-batch", type=int, default=128,
                        help="dispatch when this many requests coalesce")
     serve.add_argument("--max-delay-ms", type=float, default=2.0,
                        help="max wait for a batch to fill (default: 2ms)")
     serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="per-shard admission-control bound")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="serve with N shard worker *processes* "
-                            "attached to one shared mmap snapshot "
-                            "(asyncio front end; writes route through "
+                       help="per-worker admission-control bound")
+    serve.add_argument("--workers", type=int, default=4, metavar="N",
+                       help="shard worker processes attached to one "
+                            "shared mmap snapshot (writes route through "
                             "the leader and fan out over per-worker "
-                            "WALs); with --durable DIR the leader "
-                            "journals every write to DIR")
+                            "WALs; default: 4)")
     serve.add_argument("--replicas", type=int, default=1, metavar="R",
-                       help="with --workers: serve each shard from an "
+                       help="serve each shard from an "
                             "R-member replica group (WAL-shipping "
                             "followers, heartbeat supervision, automatic "
                             "leader failover; default: 1 — no "
@@ -1055,12 +829,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replica heartbeat interval for --replicas "
                             "(drives idle log tailing, hang detection "
                             "and quorum acks; default: 250)")
-    serve.add_argument("--durable", default=None, metavar="RING_DIR",
-                       help="durable ring directory: initialised on first "
-                            "run (from --db or an ephemeral engine), "
-                            "recovered — snapshot + WAL replay — on every "
-                            "later run; every write is journalled before "
-                            "it is acknowledged")
+    serve.add_argument("--durable", default=None, metavar="DIR",
+                       help="durable leader engine directory: created on "
+                            "first run (from --db or an ephemeral "
+                            "engine), recovered — snapshot + WAL replay — "
+                            "on every later run; every write is "
+                            "journalled before it is acknowledged")
     serve.add_argument("--wal-sync", choices=("always", "batch", "off"),
                        default="batch",
                        help="WAL fsync policy for --durable (default: "
@@ -1116,12 +890,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser(
         "recover",
-        help="recover a durable engine or ring directory (snapshot load "
-             "+ WAL replay) and print the recovery report as JSON")
+        help="recover a durable engine directory (snapshot load + WAL "
+             "replay) and print the recovery report as JSON")
     recover.add_argument("path",
-                         help="durable engine directory (open_durable) or "
-                              "ring directory (serve --durable) — rings "
-                              "are auto-detected via ring.json")
+                         help="durable engine directory (open_durable, or "
+                              "the DIR of serve --durable)")
     recover.add_argument("--inspect", action="store_true",
                          help="read-only: summarise the WAL without "
                               "replaying or modifying anything (safe on a "

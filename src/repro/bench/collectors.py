@@ -277,9 +277,8 @@ def _run_descent_compiled(params: dict) -> dict:
 def _run_descent_coldstart(params: dict) -> dict:
     """Attach-to-first-batch latency of the compiled descent path.
 
-    The serving cold path measured on its own (``coldstart_mmap`` buries
-    it under pool construction): one engine saved in both layouts, and
-    the timed section is exactly what a worker pays at attach —
+    The serving cold path: one engine saved in both layouts, and the
+    timed section is exactly what a worker pays at attach —
     ``BloomDB.load`` (mmap + per-plan setup for the compiled layout,
     npz decompress + node-graph rebuild for objects) plus the *first*
     seeded sample batch, before any frontier cache is warm.  Results
@@ -596,64 +595,6 @@ def _serving_requests(params: dict, names: list[str]) -> list[tuple]:
     return plan
 
 
-def _run_coldstart(params: dict) -> dict:
-    """Serve cold start: mmap'd compiled plan vs. npz object-graph load.
-
-    One engine is saved twice — the classic ``plan="objects"`` layout
-    (compressed npz, node graph rebuilt on load) and the compiled layout
-    (raw ``np.memmap`` buffers, tree materialised lazily).  The timed
-    section is the real serve boot path: ``BloomDB.load`` + re-sharding
-    into a pool (:meth:`ShardedEnginePool.from_engine`) + the first
-    seeded sample batch; results are verified identical between paths.
-    """
-    import shutil
-    import tempfile
-    from dataclasses import replace
-
-    from repro.api.batch import SampleSpec
-    from repro.service.pool import ShardedEnginePool
-
-    shards = int(params.get("shards", 4))
-    repeats = max(1, int(params.get("repeats", 3)))
-    db, names = build_engine(params)
-    compiled_db = BloomDB(replace(db.config, plan="compiled"),
-                          params=db.params, family=db.family, tree=db.tree,
-                          store=db.store)
-
-    def boot(directory):
-        engine = BloomDB.load(directory)
-        pool = ShardedEnginePool.from_engine(engine, shards)
-        spec = SampleSpec(names[0], 8, seed=1, key="probe")
-        return pool.engine_for(names[0]).sample_many([spec])["probe"].values
-
-    tmp = tempfile.mkdtemp(prefix="repro-coldstart-")
-    try:
-        objects_dir = f"{tmp}/objects"
-        compiled_dir = f"{tmp}/compiled"
-        db.save(objects_dir)
-        compiled_db.save(compiled_dir)
-
-        objects_times, compiled_times = [], []
-        for _ in range(repeats):
-            seconds, objects_values = _timed(lambda: boot(objects_dir))
-            objects_times.append(seconds)
-            seconds, compiled_values = _timed(lambda: boot(compiled_dir))
-            compiled_times.append(seconds)
-        objects_s = min(objects_times)
-        compiled_s = min(compiled_times)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    return {
-        "engine": db.describe(),
-        "shards": shards,
-        "identical_to_objects": bool(objects_values == compiled_values),
-        "objects": {"seconds": round(objects_s, 6)},
-        "compiled": {"seconds": round(compiled_s, 6)},
-        "speedup_coldstart_mmap": round(objects_s / compiled_s, 2),
-    }
-
-
 def _run_coldstart_recovery(params: dict) -> dict:
     """Crash-recovery cold start: snapshot load + WAL replay under churn.
 
@@ -784,19 +725,19 @@ def _run_serving_multiproc(params: dict) -> dict:
     One compiled-plan engine is persisted once; a
     :class:`~repro.service.procpool.ProcessShardPool` attaches first one
     and then ``workers_high`` worker processes to the *same* promoted
-    ``plan.bst`` / ``sets.bst`` snapshot (one physical mmap ring-wide)
-    and each pool serves the identical open-loop seeded sampling plan.
-    The scaling headline is aggregate throughput N-proc vs 1-proc —
-    worker processes escape the GIL the thread tier serialises on —
-    and fidelity is gated by ``identical_to_threaded``: every result
-    (values *and* operation counters) must match the thread tier's
-    answer for the same seeds, which itself matches direct engine calls.
+    ``plan.bst`` / ``sets.bst`` snapshot (one physical mmap for every
+    worker) and each pool serves the identical open-loop seeded
+    sampling plan.  The scaling headline is aggregate throughput N-proc
+    vs 1-proc, and fidelity is gated by ``identical_to_direct``: every
+    result (values *and* operation counters) must match a direct
+    ``sample_many`` call on the engine for the same seed.
     """
     import shutil
     import tempfile
     from dataclasses import replace
 
-    from repro.service import BatchPolicy, BloomService
+    from repro.api.batch import SampleSpec
+    from repro.service import BatchPolicy
     from repro.service.procpool import ProcessShardPool
 
     requests = int(params["requests"])
@@ -810,34 +751,13 @@ def _run_serving_multiproc(params: dict) -> dict:
                           params=db.params, family=db.family, tree=db.tree,
                           store=db.store)
     plan = [(names[i % len(names)], i) for i in range(requests)]
-
-    # Thread-tier reference: same seeds through the micro-batching
-    # scheduler (bit-identical to direct engine calls by construction).
-    occupied, sets = build_workload(params)
-    service = BloomService.plan(
-        namespace_size=int(params["namespace"]),
-        shards=workers_high,
-        max_batch=max_batch,
-        max_delay_ms=max_delay_ms,
-        queue_depth=requests,
-        occupied=occupied,
-        accuracy=float(params.get("accuracy", 0.9)),
-        set_size=int(params["set_size"]),
-        family=params.get("family", "murmur3"),
-        tree=params.get("tree", "static"),
-        seed=int(params.get("seed", 0)),
-        depth=params.get("depth"),
-    )
-    for name, ids in sets:
-        service.add_set(name, ids)
-    with service:
-        start = time.perf_counter()
-        futures = [service.submit_sample(name, rounds, seed=seed)
-                   for name, seed in plan]
-        threaded_results = [f.result(300) for f in futures]
-        threaded_s = time.perf_counter() - start
+    # Per-request seeds make each answer independent of batching, so one
+    # direct call over every spec is the per-request reference.
+    direct = compiled_db.sample_many(
+        [SampleSpec(name, rounds, seed=seed, key=str(i))
+         for i, (name, seed) in enumerate(plan)])
     reference = [(list(r.values), r.ops.nodes_visited, r.ops.memberships)
-                 for r in threaded_results]
+                 for r in direct.ordered()]
 
     def run_pool(directory, workers: int):
         from repro.obs.metrics import export_snapshot
@@ -883,11 +803,7 @@ def _run_serving_multiproc(params: dict) -> dict:
         # meaningful only where at least 4 cores back the 4 processes.
         "cpus": len(os.sched_getaffinity(0)) if hasattr(
             os, "sched_getaffinity") else os.cpu_count(),
-        "identical_to_threaded": bool(identical),
-        "threaded": {
-            "seconds": round(threaded_s, 6),
-            "throughput_rps": round(requests / threaded_s, 1),
-        },
+        "identical_to_direct": bool(identical),
         "single_process": {
             "seconds": round(single_s, 6),
             "throughput_rps": round(requests / single_s, 1),
@@ -904,7 +820,6 @@ def _run_serving_multiproc(params: dict) -> dict:
         },
         "throughput_multiproc_rps": round(requests / multi_s, 1),
         "speedup_multiproc_vs_single": round(single_s / multi_s, 2),
-        "speedup_multiproc_vs_threaded": round(threaded_s / multi_s, 2),
     }
 
 
@@ -1026,19 +941,24 @@ def _run_replicated_failover(params: dict) -> dict:
 
 
 def run_serving(params: dict) -> dict:
-    """Coalesced service throughput vs. the naive per-request loop.
+    """Coalesced serving throughput vs. the naive per-request loop.
 
     Both paths execute the *same* deterministic mixed request plan; the
     naive loop issues one direct engine call per request (fresh
     position cache every time — the shape of un-batched traffic), the
-    service path submits everything to the micro-batching scheduler and
-    waits for the futures.  Per-request results are verified
-    bit-identical between the two.
+    coalesced path submits everything open-loop to a
+    :class:`~repro.service.procpool.ProcessShardPool` of ``shards``
+    worker processes and waits for the futures.  Per-request results
+    are verified bit-identical between the two.
     """
-    from repro.service import BloomService
+    import shutil
+    import tempfile
+    from dataclasses import replace
 
-    if params.get("coldstart"):
-        return _run_coldstart(params)
+    from repro.obs.metrics import export_snapshot
+    from repro.service import BatchPolicy
+    from repro.service.procpool import ProcessShardPool
+
     if params.get("coldstart_recovery"):
         return _run_coldstart_recovery(params)
     if params.get("multiproc"):
@@ -1050,6 +970,7 @@ def run_serving(params: dict) -> dict:
     plan = _serving_requests(params, names)
     rounds = int(params.get("rounds", 8))
     namespace = int(params["namespace"])
+    workers = int(params.get("shards", 4))
 
     # Naive baseline: one engine call per request, no shared state.
     naive_results = {}
@@ -1063,57 +984,62 @@ def run_serving(params: dict) -> dict:
             naive_results[i] = db.reconstruct(name)
     naive_s = time.perf_counter() - start
 
-    # Coalesced path: same plan, submitted open-loop to the scheduler.
-    occupied, sets = build_workload(params)
-    service = BloomService.plan(
-        namespace_size=namespace,
-        shards=int(params.get("shards", 4)),
-        max_batch=int(params.get("max_batch", 256)),
-        max_delay_ms=float(params.get("max_delay_ms", 2.0)),
-        queue_depth=len(plan),
-        occupied=occupied,
-        accuracy=float(params.get("accuracy", 0.9)),
-        set_size=int(params["set_size"]),
-        family=params.get("family", "murmur3"),
-        tree=params.get("tree", "static"),
-        seed=int(params.get("seed", 0)),
-        depth=params.get("depth"),
-    )
-    for name, ids in sets:
-        service.add_set(name, ids)
-    with service:
-        start = time.perf_counter()
-        futures = []
-        for op, name, seed in plan:
-            if op == "sample":
-                futures.append(service.submit_sample(name, rounds, seed=seed))
-            elif op == "contains":
-                futures.append(service.submit_contains(
-                    name, seed % namespace))
-            else:
-                futures.append(service.submit_reconstruct(name))
-        coalesced_results = [future.result(120) for future in futures]
-        coalesced_s = time.perf_counter() - start
-        stats = service.stats()
+    # Coalesced path: same plan, submitted open-loop to the worker pool.
+    compiled_db = BloomDB(replace(db.config, plan="compiled"),
+                          params=db.params, family=db.family, tree=db.tree,
+                          store=db.store)
+    tmp = tempfile.mkdtemp(prefix="repro-serving-")
+    try:
+        compiled_db.save(tmp)
+        pool = ProcessShardPool(
+            tmp, workers,
+            policy=BatchPolicy(
+                max_batch=int(params.get("max_batch", 256)),
+                max_delay_ms=float(params.get("max_delay_ms", 2.0)),
+                queue_depth=len(plan)))
+        pool.start()
+        try:
+            for name in names:  # fault the mmap pages in before timing
+                pool.submit("sample", (name,), rounds=rounds,
+                            seed=0).result(300)
+            warm = export_snapshot(pool.fleet_export())
+            start = time.perf_counter()
+            futures = []
+            for op, name, seed in plan:
+                if op == "sample":
+                    futures.append(pool.submit("sample", (name,),
+                                               rounds=rounds, seed=seed))
+                elif op == "contains":
+                    futures.append(pool.submit("contains", (name,),
+                                               x=seed % namespace))
+                else:
+                    futures.append(pool.submit("reconstruct", (name,)))
+            coalesced_results = [future.result(120) for future in futures]
+            coalesced_s = time.perf_counter() - start
+            stats = export_snapshot(pool.fleet_export())
+        finally:
+            pool.close()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
     identical = True
     for i, (op, name, seed) in enumerate(plan):
         got, want = coalesced_results[i], naive_results[i]
         if op == "sample":
-            identical &= got.values == want.values
+            identical &= got["values"] == [int(v) for v in want.values]
         elif op == "contains":
-            identical &= got == want
+            identical &= got["contains"] == want
         else:
-            identical &= np.array_equal(got.elements, want.elements)
+            identical &= np.array_equal(got["elements"], want.elements)
 
     requests = len(plan)
+    counters = stats["counters"]
     batch_hist = stats["histograms"].get("batch_size", {})
-    sample_latency = stats["histograms"].get("sample.latency_s", {})
     stages = _stage_decomposition(stats["histograms"])
     return {
         "requests": requests,
         "engine": db.describe(),
-        "shards": int(params.get("shards", 4)),
+        "shards": workers,
         "identical_to_naive": bool(identical),
         "naive": {
             "seconds": round(naive_s, 6),
@@ -1126,13 +1052,14 @@ def run_serving(params: dict) -> dict:
             "throughput_rps": round(requests / coalesced_s, 1),
             "mean_batch": batch_hist.get("mean"),
             "max_batch": batch_hist.get("max"),
-            "sample_latency_p50_s": sample_latency.get("p50"),
-            "sample_latency_p99_s": sample_latency.get("p99"),
+            "latency_p50_s": stages.get("total", {}).get("p50_s"),
+            "latency_p99_s": stages.get("total", {}).get("p99_s"),
             "queue_wait_p50_s": stages.get("queue", {}).get("p50_s"),
             "queue_wait_p99_s": stages.get("queue", {}).get("p99_s"),
             "stages": stages,
-            "served": stats["counters"].get("served_total", 0),
-            "errors": stats["counters"].get("errors_total", 0),
+            "served": (counters.get("served_total", 0)
+                       - warm["counters"].get("served_total", 0)),
+            "errors": counters.get("errors_total", 0),
         },
         "speedup_coalesced_vs_naive": round(naive_s / coalesced_s, 2),
     }

@@ -173,15 +173,15 @@ _register(Scenario(
 
 # The gated serving scenario uses the MD5 family and a shallow tree:
 # big leaves make per-request candidate hashing the dominant cost, which
-# is precisely the work the micro-batching scheduler amortises across a
-# coalesced batch (one PositionCache pass per dispatch).  The cheap-hash
+# is precisely the work a worker's coalesced batch amortises (one
+# frontier pass and one leaf hashing per dispatch).  The cheap-hash
 # companion scenario below reports the honest murmur3 number, where the
 # irreducible per-request descent bounds the win.
 _register(Scenario(
     name="serving_mixed_4shards",
     kind="serving",
-    title="Micro-batched serving vs. the naive one-request-per-call loop "
-          "(MD5 family, shallow tree)",
+    title="Coalesced process-pool serving vs. the naive "
+          "one-request-per-call loop (MD5 family, shallow tree)",
     maps_to="ROADMAP north star (serving heavy concurrent traffic)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
                family="md5", tree="static", depth=4, shards=4,
@@ -189,20 +189,6 @@ _register(Scenario(
     full=dict(_COMMON, namespace=100_000, set_size=1_000, num_sets=32,
               family="md5", tree="static", depth=6, shards=4,
               requests=5_000, rounds=8, max_batch=256, max_delay_ms=2.0),
-))
-
-_register(Scenario(
-    name="coldstart_mmap",
-    kind="serving",
-    title="Serve cold start: mmap'd compiled plan vs. npz object-graph "
-          "rebuild (load + 4-shard pool + first sample)",
-    maps_to="ROADMAP north star (cold start as fast as the hardware allows)",
-    quick=dict(_COMMON, namespace=400_000, set_size=300, num_sets=8,
-               family="murmur3", tree="static", depth=13, coldstart=True,
-               shards=4, repeats=3),
-    full=dict(_COMMON, namespace=2_000_000, set_size=1_000, num_sets=16,
-              family="murmur3", tree="static", depth=14, coldstart=True,
-              shards=4, repeats=3),
 ))
 
 _register(Scenario(
@@ -223,14 +209,14 @@ _register(Scenario(
 # Gated scale-out scenario for the multi-process tier: worker processes
 # escape the GIL, so hash-heavy sampling (MD5, shallow tree — the same
 # compute profile as serving_mixed_4shards) should scale near-linearly
-# with processes where threads cannot.  The gate is >= 2x aggregate
-# throughput 1 -> 4 workers on the shared static compiled plan, with
-# every result bit-identical to the thread tier.
+# with processes.  The gate is >= 2x aggregate throughput 1 -> 4
+# workers on the shared static compiled plan, with every result
+# bit-identical to a direct engine call.
 _register(Scenario(
     name="serving_multiproc",
     kind="serving",
     title="Process-pool serving scale-out: 4 worker processes over one "
-          "shared mmap plan vs. 1 (and vs. the thread tier)",
+          "shared mmap plan vs. 1",
     maps_to="ROADMAP north star (serving heavy concurrent traffic beyond "
             "the GIL)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
@@ -268,7 +254,8 @@ _register(Scenario(
 _register(Scenario(
     name="serving_cheap_hash",
     kind="serving",
-    title="Micro-batched serving with cheap hashing (murmur3, planner depth)",
+    title="Coalesced process-pool serving with cheap hashing (murmur3, "
+          "planner depth)",
     maps_to="ROADMAP north star (serving heavy concurrent traffic)",
     quick=dict(_COMMON, namespace=20_000, set_size=300, num_sets=16,
                family="murmur3", tree="static", shards=4, requests=1_000,

@@ -36,6 +36,7 @@ persisted — by the atomic rename of :mod:`repro.core.mmapio`).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -105,7 +106,9 @@ class PlanDelta:
         self.fresh_dirty: frozenset = frozenset()
         #: epochs since the base plan was compiled (chain-bound metric)
         self.chain_length: int = 0
-        self._view: "DeltaPlanView | None" = None
+        #: weak: the owning epoch holds the view strongly, so a view
+        #: never keeps its own delta alive through a reference cycle
+        self._view_ref: "weakref.ref[DeltaPlanView] | None" = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -255,11 +258,17 @@ class PlanDelta:
     # -- reading -----------------------------------------------------------------
 
     def view(self) -> "DeltaPlanView":
-        """The effective ``base ⊕ delta`` plan (cached; cheap to share)."""
-        view = self._view
+        """The effective ``base ⊕ delta`` plan (shared while it lives).
+
+        The delta keeps only a weak reference: the
+        :class:`~repro.api.EngineEpoch` that publishes this delta owns
+        the view, and successor deltas reach it through
+        ``parent_frontier``.
+        """
+        view = None if self._view_ref is None else self._view_ref()
         if view is None:
             view = DeltaPlanView(self)
-            self._view = view
+            self._view_ref = weakref.ref(view)
         return view
 
     def __repr__(self) -> str:

@@ -200,6 +200,11 @@ class Murmur3HashFamily(HashFamily):
         rng = ensure_rng(self.seed)
         self._seeds = rng.integers(0, 1 << 32, size=self.k, dtype=np.uint64)
 
+    def positions(self, x: int) -> np.ndarray:
+        x = int(x) & 0xFFFFFFFFFFFFFFFF
+        return np.array([kernels.murmur3_32_int(x, int(seed)) % self.m
+                         for seed in self._seeds], dtype=np.uint64)
+
     def positions_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.uint64)
         if kernels.kernel_mode() == kernels.SCALAR:

@@ -322,6 +322,31 @@ def murmur3_32(xs: np.ndarray, seed: int) -> np.ndarray:
     return h
 
 
+def murmur3_32_int(x: int, seed: int) -> int:
+    """:func:`murmur3_32` of one key, in plain Python integers.
+
+    One element through the vectorised kernel costs dozens of NumPy
+    calls per seed; single-element membership (``x in bloom_filter``)
+    takes this path instead, bit-identical to the array kernel.
+    """
+    mask = 0xFFFFFFFF
+    h = seed & mask
+    for block in (x & mask, (x >> 32) & mask):
+        k = (block * 0xCC9E2D51) & mask
+        k = ((k << 15) | (k >> 17)) & mask
+        k = (k * 0x1B873593) & mask
+        h ^= k
+        h = ((h << 13) | (h >> 19)) & mask
+        h = (h * 5 + 0xE6546B64) & mask
+    h ^= 8  # total key length in bytes
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & mask
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & mask
+    h ^= h >> 16
+    return h
+
+
 def murmur3_positions(xs: np.ndarray, seeds: np.ndarray,
                       m: int) -> np.ndarray:
     """Vectorised Murmur3 bit positions: shape ``(len(xs), len(seeds))``."""

@@ -766,7 +766,13 @@ def _build_program(plan, row: FrontierRow, query_words, t1, threshold,
         inter_add[entry] = inter
         return entry
 
-    build(0)
+    try:
+        build(0)
+    finally:
+        # ``build`` reaches itself through its closure cell; without the
+        # del that cycle would pin ``plan`` (an epoch's view and its
+        # whole delta chain) until the cyclic collector runs.
+        del build
     return _DescentProgram(kinds, nodes_add, inter_add, p_left, left_e,
                            right_e, leaf_ix, leaf_positives, leaf_cand)
 

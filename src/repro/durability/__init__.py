@@ -16,30 +16,22 @@ serving layer from a cache into a database:
     normal mutation pipeline, and restore the exact pre-crash epoch.
 :mod:`repro.durability.checkpoint`
     Snapshots: ``compact(path=)`` plus WAL truncation bound to the
-    promoted epoch id, including ring-wide coordinated checkpoints over
-    a :class:`~repro.service.ShardedEnginePool`.
+    promoted epoch id.
 
-Entry points: :func:`open_durable` (create-or-recover one engine),
-:func:`recover_engine` / :func:`recover_ring` (explicit recovery),
-:func:`init_ring` (lay out a durable serving ring) and
-:func:`checkpoint_pool`.  See ``docs/durability.md``.
+Entry points: :func:`open_durable` (create-or-recover one engine) and
+:func:`recover_engine` (explicit recovery).  A durable serving pool
+(``repro serve --durable DIR``) is one such engine directory: its leader
+journals every write, and ``repro recover DIR`` opens it offline.  See
+``docs/durability.md``.
 """
 
 from repro.api.engine import DurabilityError
-from repro.durability.checkpoint import (
-    RING_FILE,
-    checkpoint_engine,
-    checkpoint_pool,
-    init_ring,
-    mark_pool_clean,
-    read_ring_meta,
-)
+from repro.durability.checkpoint import checkpoint_engine
 from repro.durability.recovery import (
     RecoveryReport,
     inspect_wal,
     open_durable,
     recover_engine,
-    recover_ring,
     replay_records,
 )
 from repro.durability.wal import (
@@ -53,18 +45,12 @@ __all__ = [
     "CorruptWalError",
     "DurabilityError",
     "RecoveryReport",
-    "RING_FILE",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
     "checkpoint_engine",
-    "checkpoint_pool",
-    "init_ring",
     "inspect_wal",
-    "mark_pool_clean",
     "open_durable",
-    "read_ring_meta",
     "recover_engine",
-    "recover_ring",
     "replay_records",
 ]

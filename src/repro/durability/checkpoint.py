@@ -4,154 +4,17 @@ A checkpoint is the durability subsystem's compaction: fold the live
 tree into a fresh base plan, persist it (plus the packed set filters)
 into the engine's durable directory, promote it as a clean epoch, and
 truncate the WAL to a fresh segment stamped with that epoch.  The
-engine-level sequence lives in :meth:`repro.api.BloomDB.checkpoint`
-(step ordering and crash-window analysis documented there); this module
-adds the *ring* dimension:
-
-* :func:`init_ring` lays a durable serving ring out on disk — one full
-  engine directory (snapshot + WAL) per shard under ``shards/NN/``,
-  plus a ``ring.json`` recording the shard count and hash-ring
-  replicas, so recovery rebuilds the exact same name routing;
-* :func:`checkpoint_pool` runs a ring-wide coordinated checkpoint: all
-  shards snapshot under the pool's write lock, so no occupancy
-  broadcast can interleave and every shard lands on the *same* promoted
-  epoch — after a crash the whole pool restarts to one consistent
-  epoch.  At serve time, :meth:`repro.service.BloomService.checkpoint`
-  additionally rendezvouses the shard workers at the PR 5 write-request
-  barrier so checkpoints also serialise with in-flight object-graph
-  readers.
+sequence lives in :meth:`repro.api.BloomDB.checkpoint` (step ordering
+and crash-window analysis documented there); a serving pool checkpoints
+its leader the same way and then promotes the fresh snapshot to its
+workers (:meth:`repro.service.ProcessShardPool.checkpoint`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import pathlib
-
-from repro.api.config import EngineConfig
-from repro.api.engine import BloomDB, DurabilityError
-
-#: Ring manifest file inside a durable ring directory.
-RING_FILE = "ring.json"
-#: Subdirectory holding the per-shard engine directories.
-SHARDS_DIR = "shards"
-_RING_FORMAT = 1
-
-
-def shard_dirs(path, shards: int) -> list[pathlib.Path]:
-    """The per-shard engine directories of a ring at ``path``."""
-    path = pathlib.Path(path)
-    return [path / SHARDS_DIR / f"{shard:02d}" for shard in range(shards)]
-
-
-def read_ring_meta(path) -> dict:
-    """Load and validate a ring manifest (``ring.json``)."""
-    path = pathlib.Path(path)
-    manifest = path / RING_FILE
-    if not manifest.exists():
-        raise FileNotFoundError(
-            f"{path} is not a durable ring (no {RING_FILE}); "
-            f"initialise one with repro.durability.init_ring")
-    meta = json.loads(manifest.read_text())
-    if int(meta.get("format", -1)) != _RING_FORMAT:
-        raise ValueError(f"unsupported ring format {meta.get('format')!r}")
-    if int(meta.get("shards", 0)) <= 0:
-        raise ValueError(f"{manifest} declares no shards")
-    return meta
-
-
-def init_ring(path, shards: int, *, template: BloomDB | None = None,
-              config: EngineConfig | None = None, sync: str | None = None,
-              replicas: int = 64) -> dict:
-    """Lay out a durable serving ring on disk; returns the manifest.
-
-    Exactly one of ``template`` (an existing engine whose sets and
-    occupancy seed the ring) or ``config`` (an empty ring) must be
-    given.  Set names are partitioned across shards by the same
-    consistent hash the serving pool uses, and every shard's engine
-    carries the full (replicated) tree — the PR 3 sharding model, now
-    durable.  Each shard directory is a complete engine save plus its
-    own WAL, so shards recover independently and in parallel.
-    """
-    from repro.service.hashring import ConsistentHashRing
-
-    path = pathlib.Path(path)
-    if (path / RING_FILE).exists():
-        raise FileExistsError(f"{path} already holds a durable ring")
-    if (template is None) == (config is None):
-        raise ValueError("give exactly one of template= or config=")
-    if shards <= 0:
-        raise ValueError("need at least one shard")
-    if template is None:
-        template = BloomDB(dataclasses.replace(
-            config, durability="off", plan="compiled", mutation="delta"))
-    base = template.config
-    shard_config = dataclasses.replace(
-        base, durability="wal", plan="compiled", mutation="delta",
-        wal_sync=sync if sync is not None else base.wal_sync)
-    ring = ConsistentHashRing(shards, replicas=replicas)
-
-    for shard, shard_dir in enumerate(shard_dirs(path, shards)):
-        if template.spec.requires_occupied:
-            shard_db = BloomDB(shard_config, params=template.params,
-                               family=template.family,
-                               occupied=template.occupied)
-        else:
-            # Static trees are immutable: share the template's tree
-            # object instead of rebuilding it per shard.
-            shard_db = BloomDB(shard_config, params=template.params,
-                               family=template.family, tree=template.tree)
-        for name in template.names():
-            if ring.shard_for(name) == shard:
-                shard_db.store.install(name, template.filter(name).copy())
-        shard_db.save(shard_dir)
-
-    meta = {"format": _RING_FORMAT, "shards": int(shards),
-            "replicas": int(replicas)}
-    manifest = path / RING_FILE
-    tmp = manifest.with_name(manifest.name + ".tmp")
-    tmp.write_text(json.dumps(meta, indent=2))
-    tmp.replace(manifest)
-    return meta
+from repro.api.engine import BloomDB
 
 
 def checkpoint_engine(db: BloomDB) -> dict:
     """Checkpoint one durable engine (see :meth:`BloomDB.checkpoint`)."""
     return db.checkpoint()
-
-
-def checkpoint_pool(pool) -> list[dict]:
-    """Ring-wide coordinated checkpoint: every shard, one epoch.
-
-    All shards snapshot under the pool's write lock, so no occupancy
-    broadcast interleaves between two shards' snapshots: the per-shard
-    epoch counters (kept in lockstep by the broadcast protocol) all
-    promote to the same id, and the ring restarts from one consistent
-    epoch after any crash.  Returns the per-shard checkpoint summaries.
-    """
-    for engine in pool.engines:
-        if engine.wal is None:
-            raise DurabilityError(
-                "checkpoint_pool() needs a durable ring (every shard with "
-                "an attached WAL); recover one via "
-                "repro.durability.recover_ring")
-    with pool._write_lock:
-        summaries = [engine.checkpoint() for engine in pool.engines]
-    epochs = {summary["epoch"] for summary in summaries}
-    if len(epochs) != 1:  # pragma: no cover - lockstep invariant
-        raise DurabilityError(
-            f"ring checkpoint promoted divergent epochs {sorted(epochs)}; "
-            f"shard epoch counters fell out of lockstep")
-    return summaries
-
-
-def mark_pool_clean(pool) -> None:
-    """Write every shard WAL's clean-shutdown marker (after a drain).
-
-    Call only once nothing can mutate the ring any more (workers
-    stopped): the marker asserts the log will not move again, and
-    recovery skips torn-tail bookkeeping when it holds.
-    """
-    for engine in pool.engines:
-        if engine.wal is not None:
-            engine.wal.mark_clean()

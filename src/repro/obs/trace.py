@@ -9,10 +9,10 @@ slowest N by total latency; that buffer is what ``GET /trace`` serves.
 Deep layers do not see the request: they call :func:`record_stage`,
 which always feeds the process-global stage histogram
 (``stage.<name>_s`` in :data:`repro.obs.runtime.RUNTIME`) and, when the
-executing thread has a :func:`collect_stages` context installed (the
-scheduler wraps every batch dispatch in one), also accumulates into
-that context so the scheduler can attribute the batch's deep spans to
-each request's trace.
+executing thread has a :func:`collect_stages` context installed (a
+serving worker wraps every batch dispatch in one), also accumulates into
+that context so the worker can attribute the batch's deep spans to the
+batch's trace.
 """
 
 from __future__ import annotations

@@ -61,8 +61,12 @@ from repro.obs.metrics import (
 from repro.obs.runtime import RUNTIME
 from repro.replication.supervisor import Supervisor
 from repro.service.hashring import ConsistentHashRing
-from repro.service.procpool import ProcessShardPool, write_epoch_state
-from repro.service.scheduler import BatchPolicy, ServiceOverloadedError
+from repro.service.procpool import (
+    BatchPolicy,
+    ProcessShardPool,
+    ServiceOverloadedError,
+    write_epoch_state,
+)
 
 _log = get_logger("replication.pool")
 

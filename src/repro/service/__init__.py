@@ -1,98 +1,71 @@
-"""The serving subsystem: sharded engines behind a micro-batching scheduler.
+"""The serving subsystem: worker processes behind an asyncio HTTP edge.
 
 The paper frames the BloomSampleTree as the shared index of a *database*
 of Bloom-filter-encoded sets answering sampling and reconstruction
-queries online; PR 2 made the batched kernels fast.  This package is the
-layer between those kernels and real traffic — it turns a stream of
-independent requests into kernel-sized batches:
+queries online.  This package is the layer between the batched engine
+kernels and real traffic — it turns a stream of independent requests
+into kernel-sized batches:
 
-* :class:`ShardedEnginePool` — N identically-configured
-  :class:`~repro.api.BloomDB` shards; set names are partitioned by
-  consistent hash, the tree index is replicated (shared outright for the
-  immutable ``static`` backend), so any shard can serve any query and
-  cross-shard union/intersection queries just merge filters.
-* :class:`MicroBatchScheduler` / :class:`ShardWorker` — per-shard worker
-  threads that coalesce queued requests under a max-delay/max-batch
-  policy and dispatch them through the batched engine entry points.
-  Results are bit-identical to direct engine calls because every
-  stochastic request carries its own seed
-  (:func:`~repro.service.requests.derive_seed`).
-* admission control + :class:`~repro.service.metrics.Metrics` — bounded
-  shard queues rejecting with :class:`ServiceOverloadedError`, and
-  latency / batch-size / outcome instrumentation snapshotted by
-  ``/stats``.
-* front ends — :class:`BloomService` (the facade), the in-process
-  :class:`ServiceClient`, and the stdlib HTTP/JSON server behind the
-  ``repro serve`` CLI (:class:`ReproServer`, :class:`HTTPServiceClient`).
-* the multi-process tier — :class:`ProcessShardPool` /
-  :class:`ProcessService` (:mod:`repro.service.procpool`): one worker
-  *process* per shard attached read-only to the promoted ``plan.bst`` /
-  ``sets.bst`` snapshot via ``np.memmap`` (one physical copy ring-wide),
-  writes routed through the leader and fanned out over per-worker WALs,
-  epoch promotion by atomic version-file swap, and kill-safe worker
-  respawn (:class:`WorkerDiedError` → HTTP 503) — served over the
-  asyncio front end :class:`AsyncReproServer` via
-  ``repro serve --workers N``.  The replicated tier on top of it
-  (``--replicas R``) lives in :mod:`repro.replication`.
+* :class:`ProcessShardPool` (:mod:`repro.service.procpool`) — one worker
+  *process* per shard, attached read-only to the promoted ``plan.bst`` /
+  ``sets.bst`` snapshot via ``np.memmap`` (one physical copy for every
+  worker).  Set names route to workers by consistent hash; each worker
+  coalesces its queue under a :class:`BatchPolicy` and dispatches whole
+  batches through the engine's batched entry points.  Results are
+  bit-identical to direct engine calls because every stochastic request
+  carries its own seed (:func:`derive_seed`).  Writes route through the
+  leader (the parent process) and fan out over per-worker WALs; epochs
+  promote by atomic version-file swap; a killed worker is respawned and
+  replays its log (:class:`WorkerDiedError` → HTTP 503 meanwhile).
+  Admission control rejects with :class:`ServiceOverloadedError` when a
+  worker queue is full.
+* :class:`ProcessService` — the client-shaped facade over a pool, and
+  :class:`AsyncReproServer` (:mod:`repro.service.aserver`) — the asyncio
+  HTTP/JSON front end behind ``repro serve``.  The replicated tier on
+  top of the pool (``--replicas R``) lives in :mod:`repro.replication`.
+* :class:`HTTPServiceClient` — the stdlib client, which honours
+  ``Retry-After`` on 503s when constructed with a :class:`RetryPolicy`
+  (idempotent requests only).
 
-Both HTTP front ends expose ``/healthz`` (liveness) and ``/readyz``
-(readiness: ring attached, replication lag under bound), and every 503
-carries ``Retry-After`` — which :class:`HTTPServiceClient` honours when
-constructed with a :class:`RetryPolicy` (idempotent requests only).
+``/healthz`` answers liveness, ``/readyz`` readiness (every worker
+attached and alive; for replicated pools every shard group led with
+replication lag under bound).
 
->>> import numpy as np
->>> svc = BloomService.plan(namespace_size=10_000, accuracy=0.9, seed=7,
-...                         shards=2)
->>> svc.add_set("community", np.arange(0, 1_000, 3, dtype=np.uint64))
->>> with svc:
-...     values = svc.sample("community", r=5, seed=11).values
->>> all(v % 3 == 0 for v in values)
-True
+A pool needs a saved compiled-plan engine directory and a
+``__main__`` guard (workers start with the ``spawn`` method)::
+
+    db = BloomDB.plan(namespace_size=10_000, accuracy=0.9, seed=7,
+                      plan="compiled")
+    db.add_set("community", np.arange(0, 1_000, 3, dtype=np.uint64))
+    pool = ProcessShardPool.from_engine(db, "served/", workers=2)
+    with ProcessService(pool) as svc:
+        svc.sample("community", r=5, seed=11)["values"]
 """
 
-from repro.service.client import (
-    HTTPServiceClient,
-    RetryPolicy,
-    ServiceClient,
-)
+from repro.obs.metrics import Histogram, Metrics
+from repro.service.client import HTTPServiceClient, RetryPolicy
 from repro.service.hashring import ConsistentHashRing
-from repro.service.metrics import Histogram, Metrics
-from repro.service.pool import ShardedEnginePool
-from repro.service.requests import ServiceRequest, derive_seed
-from repro.service.scheduler import (
-    BatchPolicy,
-    MicroBatchScheduler,
-    ServiceOverloadedError,
-    ShardWorker,
-)
-from repro.service.http import ReproServer
-from repro.service.aserver import AsyncReproServer
 from repro.service.procpool import (
+    BatchPolicy,
     ProcessService,
     ProcessShardPool,
+    ServiceOverloadedError,
     WorkerDiedError,
+    derive_seed,
 )
-from repro.service.service import BloomService, ServiceConfig
+from repro.service.aserver import AsyncReproServer
 
 __all__ = [
     "AsyncReproServer",
     "BatchPolicy",
-    "BloomService",
     "ConsistentHashRing",
     "HTTPServiceClient",
     "Histogram",
     "Metrics",
-    "MicroBatchScheduler",
     "ProcessService",
     "ProcessShardPool",
-    "ReproServer",
     "RetryPolicy",
-    "ServiceClient",
-    "ServiceConfig",
     "ServiceOverloadedError",
-    "ServiceRequest",
-    "ShardWorker",
-    "ShardedEnginePool",
     "WorkerDiedError",
     "derive_seed",
 ]

@@ -1,20 +1,46 @@
-"""The asyncio HTTP front end of ``repro serve --workers N``.
+"""The HTTP/JSON front end of ``repro serve``.
 
-The stdlib :class:`~repro.service.http.ReproServer` dedicates one
-handler *thread* per connection — fine for the thread tier, where the
-handler must block on a scheduler future anyway, but a poor front for
-the process tier: the parent's job there is pure I/O (parse, route,
-await, serialise) and the heavy lifting happens in worker processes.
-:class:`AsyncReproServer` replaces it with a single-threaded asyncio
-accept loop multiplexing every connection; blocking waits on the pool's
-futures are pushed onto a small executor so the event loop never stalls.
+:class:`AsyncReproServer` is a single-threaded asyncio accept loop
+multiplexing every connection in the parent process, whose job is pure
+I/O — parse, route, await, serialise — while the engine work happens in
+the worker processes of a :class:`~repro.service.ProcessShardPool`.
+Blocking waits on the pool's futures run on a small executor so the
+event loop never stalls.
 
-Protocol, routes, wire shapes and error mapping are byte-identical to
-the stdlib server — both dispatch through
-:func:`repro.service.http.route_request` /
-:func:`~repro.service.http.status_for` — so
-:class:`~repro.service.client.HTTPServiceClient` and the CI smoke drills
-work against either front end unchanged.
+Routes (all bodies and responses are JSON, except ``/metrics``):
+
+========================  ====  ======================================
+``/healthz``              GET   liveness probe (process is up)
+``/readyz``               GET   readiness: every worker attached, lag
+                                under bound (503 + same body if not)
+``/stats``                GET   metrics + pool + policy snapshot
+``/metrics``              GET   Prometheus text exposition (v0.0.4)
+``/trace``                GET   slowest-request spans + stage histograms
+``/workers``              GET   per-worker pid / liveness / restarts
+``/sample``               POST  ``{"set", "r", "replacement", "seed"?}``
+``/reconstruct``          POST  ``{"set", "exhaustive"?}``
+``/contains``             POST  ``{"set", "x"}``
+``/sample-union``         POST  ``{"sets": [...], "seed"?}``
+``/sample-intersection``  POST  ``{"sets": [...], "seed"?}``
+``/add-set``              POST  ``{"set", "ids": [...]}``
+``/insert``               POST  ``{"ids": [...]}``
+``/retire``               POST  ``{"ids": [...]}``
+``/compact``              POST  (no body)
+``/checkpoint``           POST  (no body; durable pools only)
+========================  ====  ======================================
+
+Error mapping (:func:`status_for`): 400 for malformed requests —
+bad framing, a ``Content-Length`` that is not ``1*DIGIT``, invalid
+JSON, missing fields, or an occupancy write the tree backend cannot
+express — after which the connection is closed if the framing itself
+was bad; 404 for unknown sets or routes; 405 for methods other than GET
+and POST; 409 for duplicate set creation or durability misuse
+(``/checkpoint`` on a non-durable pool); 503 when admission control
+rejects (worker queue full), a worker died mid-request, or a quorum ack
+timed out; 500 otherwise.  Every 503 carries ``Retry-After: 1`` — the
+condition is transient by construction (queues drain, workers respawn,
+followers promote) and retry-capable clients
+(:class:`~repro.service.client.RetryPolicy`) honour the hint.
 """
 
 from __future__ import annotations
@@ -24,9 +50,11 @@ import concurrent.futures
 import json
 import threading
 
+from repro.api import BackendCapabilityError, DurabilityError
+from repro.core.store import DuplicateSetError
 from repro.obs.logs import get_logger
 from repro.obs.prometheus import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from repro.service.http import error_payload, route_request, status_for
+from repro.service.procpool import ServiceOverloadedError
 
 _log = get_logger("service.aserver")
 
@@ -44,6 +72,90 @@ class _BadRequest(Exception):
     """Malformed HTTP framing — the connection is closed after replying."""
 
 
+def status_for(exc: Exception) -> int:
+    """The HTTP status code for an exception raised by a route.
+
+    400 malformed, 404 unknown set, 409 duplicate-set / durability
+    misuse, 503 admission rejection or a dead worker, 500 otherwise.
+    """
+    if isinstance(exc, (ValueError, TypeError, BackendCapabilityError)):
+        return 400
+    if isinstance(exc, (DuplicateSetError, DurabilityError)):
+        return 409
+    if isinstance(exc, KeyError):
+        return 404
+    if isinstance(exc, ServiceOverloadedError):
+        return 503
+    return 500
+
+
+def error_payload(exc: Exception) -> dict:
+    """The JSON error body for an exception raised by a route."""
+    if isinstance(exc, (DuplicateSetError, KeyError)):
+        return {"error": str(exc.args[0] if exc.args else exc)}
+    if status_for(exc) == 500:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"error": str(exc)}
+
+
+def route_request(client, path: str, body: dict) -> dict:
+    """Dispatch one POST route against a client-shaped object.
+
+    ``client`` exposes the :class:`~repro.service.ProcessService` method
+    surface (each method returns the route's wire dict).
+    """
+    if path == "/sample":
+        return client.sample(
+            _required(body, "set"), int(body.get("r", 1)),
+            bool(body.get("replacement", True)), _seed(body))
+    if path == "/reconstruct":
+        return client.reconstruct(
+            _required(body, "set"), bool(body.get("exhaustive", False)))
+    if path == "/contains":
+        return client.contains(_required(body, "set"),
+                               int(_required(body, "x")))
+    if path == "/sample-union":
+        return client.sample_union(_names(body), _seed(body))
+    if path == "/sample-intersection":
+        return client.sample_intersection(_names(body), _seed(body))
+    if path == "/add-set":
+        return client.add_set(_required(body, "set"), _ids(body))
+    if path == "/insert":
+        return client.insert_ids(_ids(body))
+    if path == "/retire":
+        return client.retire_ids(_ids(body))
+    if path == "/compact":
+        return client.compact()
+    if path == "/checkpoint":
+        return client.checkpoint()
+    raise ValueError(f"no route {path}")
+
+
+def _required(body: dict, key: str):
+    if key not in body:
+        raise ValueError(f"missing required field {key!r}")
+    return body[key]
+
+
+def _ids(body: dict) -> list[int]:
+    ids = _required(body, "ids")
+    if not isinstance(ids, list):
+        raise ValueError("'ids' must be a list of integers")
+    return [int(v) for v in ids]
+
+
+def _names(body: dict) -> list[str]:
+    names = _required(body, "sets")
+    if not isinstance(names, list) or not names:
+        raise ValueError("'sets' must be a non-empty list of set names")
+    return [str(n) for n in names]
+
+
+def _seed(body: dict) -> int | None:
+    seed = body.get("seed")
+    return None if seed is None else int(seed)
+
+
 def _raw_response_bytes(status: int, body: bytes, content_type: str, *,
                         keep_alive: bool = True) -> bytes:
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -55,8 +167,7 @@ def _raw_response_bytes(status: int, body: bytes, content_type: str, *,
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n")
     if status == 503:
-        # Overload / respawn / failover: transient by construction
-        # (mirrors the stdlib front end's hint).
+        # Overload / respawn / failover: transient by construction.
         head += "Retry-After: 1\r\n"
     head += "\r\n"
     return head.encode("ascii") + body
@@ -95,10 +206,13 @@ async def _read_request(reader: asyncio.StreamReader):
             continue
         key, _, value = line.partition(":")
         headers[key.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length") or 0)
-    except ValueError:
-        raise _BadRequest("invalid Content-Length") from None
+    declared = headers.get("content-length", "0")
+    # RFC 9110: Content-Length = 1*DIGIT.  ``int()`` alone would accept
+    # "-5", "+3" and "1_0", and a negative length would kill the
+    # connection task inside ``readexactly``.
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest("invalid Content-Length")
+    length = int(declared)
     if length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     raw = await reader.readexactly(length) if length else b""
@@ -116,10 +230,9 @@ async def _read_request(reader: asyncio.StreamReader):
 class AsyncReproServer:
     """Asyncio HTTP server over a client-shaped service facade.
 
-    ``client`` is anything exposing the
-    :class:`~repro.service.client.ServiceClient` surface — in the CLI
-    it is a :class:`~repro.service.procpool.ProcessService`, whose
-    ``start``/``stop``/``close`` lifecycle this server drives.  Route
+    ``client`` is a :class:`~repro.service.procpool.ProcessService` (or
+    anything with its method surface), whose ``start``/``stop``/``close``
+    lifecycle this server drives.  Route
     handlers run on a small thread executor because the facade blocks on
     pool futures; the event loop itself only ever parses and serialises.
 

@@ -1,20 +1,18 @@
-"""Service clients: in-process and HTTP, one JSON response shape.
+"""The HTTP client of ``repro serve`` and the shared wire encoders.
 
-:class:`ServiceClient` talks to a :class:`~repro.service.service.BloomService`
-directly (tests, examples, benchmarks — no sockets involved);
-:class:`HTTPServiceClient` speaks the same JSON protocol over the wire
-to a :mod:`repro.service.http` server.  Both return the same plain-dict
-responses, produced by the ``encode_*`` helpers here, which the HTTP
-handler also uses — so what a test asserts against the in-process client
-is byte-for-byte what the HTTP endpoint serialises.
+:class:`HTTPServiceClient` speaks the JSON protocol of
+:mod:`repro.service.aserver`.  The ``encode_*`` helpers here turn engine
+result objects into the response dicts the worker processes ship back,
+so a test can compare a direct :class:`~repro.api.BloomDB` answer with
+an HTTP response byte for byte.
 
-The HTTP client optionally retries: under failover (a killed shard
-leader, a respawning worker) the server answers 503 + ``Retry-After``
-for a moment, and a client constructed with a :class:`RetryPolicy`
-absorbs that window with seeded exponential backoff — but only for
-*idempotent* requests.  Seeded reads are safely repeatable (the seed
-pins the answer); writes and unseeded reads are never retried, because
-a retry after an ambiguous failure could apply them twice.
+The client optionally retries: under failover (a killed shard leader, a
+respawning worker) the server answers 503 + ``Retry-After`` for a
+moment, and a client constructed with a :class:`RetryPolicy` absorbs
+that window with seeded exponential backoff — but only for *idempotent*
+requests.  Seeded reads are safely repeatable (the seed pins the
+answer); writes and unseeded reads are never retried, because a retry
+after an ambiguous failure could apply them twice.
 """
 
 from __future__ import annotations
@@ -30,7 +28,9 @@ from typing import Iterable
 from repro.core.ops import OpCounter
 from repro.core.reconstruct import ReconstructionResult
 from repro.core.sampling import MultiSampleResult, SampleResult
-from repro.service.service import DEFAULT_TIMEOUT_S, BloomService
+
+#: Default timeout of one request, over HTTP or through a pool facade (s).
+DEFAULT_TIMEOUT_S = 30.0
 
 
 def encode_ops(ops: OpCounter) -> dict:
@@ -66,114 +66,6 @@ def encode_result(result) -> dict:
     if isinstance(result, bool):
         return {"ok": result}
     raise TypeError(f"cannot encode {type(result).__name__}")
-
-
-class ServiceClient:
-    """In-process client: the scheduler path without any network.
-
-    Used by the test suite, the examples and the ``--smoke`` mode of
-    ``repro serve``; responses are the same dicts the HTTP endpoint
-    returns as JSON.
-    """
-
-    def __init__(self, service: BloomService,
-                 timeout: float = DEFAULT_TIMEOUT_S):
-        self.service = service
-        self.timeout = timeout
-
-    def sample(self, name: str, r: int = 1, replacement: bool = True,
-               seed: int | None = None) -> dict:
-        """Draw ``r`` samples from a named set."""
-        return encode_result(self.service.sample(
-            name, r, replacement, seed, timeout=self.timeout))
-
-    def reconstruct(self, name: str, exhaustive: bool = False) -> dict:
-        """Recover a named set's contents."""
-        return encode_result(self.service.reconstruct(
-            name, exhaustive, timeout=self.timeout))
-
-    def contains(self, name: str, x: int) -> dict:
-        """Membership query against one named set."""
-        return {"contains": self.service.contains(name, x,
-                                                  timeout=self.timeout)}
-
-    def sample_union(self, names: Iterable[str],
-                     seed: int | None = None) -> dict:
-        """Sample from the union of named sets."""
-        return encode_result(self.service.sample_union(
-            names, seed, timeout=self.timeout))
-
-    def sample_intersection(self, names: Iterable[str],
-                            seed: int | None = None) -> dict:
-        """Sample from the intersection sketch of named sets."""
-        return encode_result(self.service.sample_intersection(
-            names, seed, timeout=self.timeout))
-
-    def add_set(self, name: str, ids) -> dict:
-        """Store a new named set."""
-        self.service.add_set(name, ids, timeout=self.timeout)
-        return {"ok": True, "set": str(name)}
-
-    def insert_ids(self, ids) -> dict:
-        """Register ids as occupied, epoch-atomically across shards."""
-        ids = [int(v) for v in ids]
-        self.service.insert_ids(ids, timeout=self.timeout)
-        return {"ok": True, "inserted": len(ids)}
-
-    def retire_ids(self, ids) -> dict:
-        """Retire ids from the occupied namespace across shards."""
-        ids = [int(v) for v in ids]
-        self.service.retire_ids(ids, timeout=self.timeout)
-        return {"ok": True, "retired": len(ids)}
-
-    def compact(self) -> dict:
-        """Fold every shard's pending delta into a fresh base plan."""
-        self.service.compact()
-        return {"ok": True,
-                "epochs": [None if epoch is None else epoch.epoch
-                           for epoch in self.service.pool.ring_epochs()]}
-
-    def checkpoint(self) -> dict:
-        """Ring-wide durable snapshot (see :meth:`BloomService.checkpoint`)."""
-        summaries = self.service.checkpoint(timeout=self.timeout)
-        return {"ok": True, "epoch": summaries[0]["epoch"],
-                "shards": summaries}
-
-    def stats(self) -> dict:
-        """The service's metrics snapshot."""
-        return self.service.stats()
-
-    def metrics_text(self) -> str:
-        """The ``/metrics`` payload (Prometheus text exposition)."""
-        return self.service.metrics_text()
-
-    def trace(self) -> dict:
-        """The ``/trace`` payload (slowest requests + stage histograms)."""
-        return self.service.trace()
-
-    def workers(self) -> dict:
-        """Per-shard worker liveness (the ``/workers`` payload).
-
-        The thread tier reports shard worker threads; the multi-process
-        tier (:class:`~repro.service.procpool.ProcessService`) reports
-        worker *processes* with their pids — which is what lets the CI
-        smoke job pick a victim for its kill-9 drill.
-        """
-        return {"mode": "thread", "workers": [
-            {"shard": worker.shard_id, "alive": worker.is_alive(),
-             "queued": worker.queue.qsize()}
-            for worker in self.service.scheduler.workers]}
-
-    def healthz(self) -> dict:
-        """Liveness probe (the ``/healthz`` payload)."""
-        return {"ok": True}
-
-    def readyz(self) -> dict:
-        """Readiness (the ``/readyz`` payload): every shard worker alive."""
-        workers = self.service.scheduler.workers
-        alive = sum(1 for worker in workers if worker.is_alive())
-        return {"ready": bool(workers) and alive == len(workers),
-                "mode": "thread", "workers": len(workers), "alive": alive}
 
 
 def _retry_after(exc: urllib.error.HTTPError) -> float | None:

@@ -1,12 +1,11 @@
-"""Multi-process serving: a process-per-shard pool over shared mmap plans.
+"""The serving pool: one worker process per shard over shared mmap plans.
 
-The thread tier (:mod:`repro.service.scheduler`) coalesces beautifully
-but every shard worker still serialises on the GIL between kernel
-calls.  This module escapes it: each shard worker is a real OS
-*process* that attaches to the promoted ``plan.bst`` / ``sets.bst``
-snapshot via ``np.memmap`` — the page cache gives every worker the same
-physical read-only bytes, so N workers cost one plan in RAM — while the
-parent process runs the front end and owns all writes.
+Each shard worker is a real OS *process* that attaches to the promoted
+``plan.bst`` / ``sets.bst`` snapshot via ``np.memmap`` — the page cache
+gives every worker the same physical read-only bytes, so N workers cost
+one plan in RAM — while the parent process runs the asyncio front end
+(:mod:`repro.service.aserver`) and owns all writes.  Kernel work never
+contends for the parent's GIL.
 
 Serving directory layout (one engine directory, extended)::
 
@@ -19,23 +18,24 @@ Serving directory layout (one engine directory, extended)::
 
 The coordination protocol, in full:
 
-* **Reads** are routed by the same consistent-hash ring as the thread
-  tier, enqueued on the owning worker's ``multiprocessing`` queue,
-  gathered under the shared :class:`~repro.service.scheduler.BatchPolicy`
-  and dispatched through the identical batched engine entry points —
-  per-request :class:`~repro.api.SampleSpec` seeds make every result
-  (values *and* OpCounters) bit-identical to the thread tier and to
-  direct engine calls.
+* **Reads** are routed by a consistent-hash ring of set names, enqueued
+  on the owning worker's ``multiprocessing`` queue, gathered under a
+  :class:`BatchPolicy` (:func:`gather_batch`) and dispatched through the
+  batched engine entry points — per-request
+  :class:`~repro.api.SampleSpec` seeds make every result (values *and*
+  OpCounters) bit-identical to direct engine calls, whatever the batch
+  composition.  Admission control is at submit: a full worker queue
+  rejects with :class:`ServiceOverloadedError` (HTTP 503).
 * **Writes** route through the leader (the parent process): the leader
   engine applies the mutation through the normal epoch pipeline, the
-  record is appended to *every worker's own WAL* (the per-shard WALs of
-  the ISSUE — one log per worker process), and the ``EPOCH`` version
-  file's ``wal_seq`` is bumped by atomic rename *before* the write is
-  acknowledged.  A worker checks ``EPOCH`` after gathering each batch —
-  so any read submitted after a write ack executes against state that
-  includes the write (read-your-writes) — and replays its log tail
-  through :func:`repro.durability.recovery.replay_records`, i.e. with
-  recovery's exact epoch-alignment verification.
+  record is appended to *every worker's own WAL* (one log per worker
+  process), and the ``EPOCH`` version file's ``wal_seq`` is bumped by
+  atomic rename *before* the write is acknowledged.  A worker checks
+  ``EPOCH`` after gathering each batch — so any read submitted after a
+  write ack executes against state that includes the write
+  (read-your-writes) — and replays its log tail through
+  :func:`repro.durability.recovery.replay_records`, i.e. with recovery's
+  exact epoch-alignment verification.
 * **Epoch promotion** (checkpoint / compact / membership change) writes
   a fresh snapshot pair, hardlinks it under generation names, truncates
   the worker logs and atomically renames a new ``EPOCH`` naming the
@@ -57,22 +57,24 @@ The coordination protocol, in full:
   requests for the dead shard fail with :class:`WorkerDiedError` (a 503
   at the HTTP layer — never a hang), and the worker is respawned: it
   reattaches the promoted snapshot and replays its WAL, landing
-  bit-identically on the pre-kill state.
+  bit-identically on the pre-kill state.  A worker that dies while
+  *booting* fails :meth:`ProcessShardPool.start` at once instead.
 * **Durable mode** opens the leader through
   :func:`repro.durability.open_durable`: every write journals to the
   leader's own WAL *before* the fanout, checkpoints bind the truncation
-  epoch inside ``plan.bst``'s atomic rename exactly as in the thread
-  tier, and a parent crash recovers through ``repro recover`` /
+  epoch inside ``plan.bst``'s atomic rename, and a parent crash
+  recovers through ``repro recover`` /
   :func:`~repro.durability.recover_engine` unchanged.
 
 :class:`ProcessService` is the client-shaped facade
-(:func:`repro.service.http.route_request` dispatches against it), served
-over HTTP by the asyncio front end of :mod:`repro.service.aserver` via
-``repro serve --workers N``.
+(:func:`repro.service.aserver.route_request` dispatches against it),
+served over HTTP by :class:`~repro.service.aserver.AsyncReproServer`
+via ``repro serve``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -109,14 +111,8 @@ from repro.obs.metrics import (
 from repro.obs.prometheus import render_prometheus
 from repro.obs.runtime import RUNTIME
 from repro.obs.trace import Trace, TraceBuffer, collect_stages
-from repro.service.client import encode_result
+from repro.service.client import DEFAULT_TIMEOUT_S, encode_result
 from repro.service.hashring import ConsistentHashRing
-from repro.service.requests import derive_seed
-from repro.service.scheduler import (
-    BatchPolicy,
-    ServiceOverloadedError,
-    gather_batch,
-)
 
 #: The version file coordinating workers with the leader.
 EPOCH_FILE = "EPOCH"
@@ -126,9 +122,6 @@ WORKER_WAL_DIR = "wal-workers"
 
 #: How long to wait for a spawned worker to attach and report ready.
 _READY_TIMEOUT_S = 60.0
-
-#: Default timeout of the synchronous facade calls (seconds).
-_DEFAULT_TIMEOUT_S = 30.0
 
 #: Response-pump poll interval; also bounds death-detection latency.
 _PUMP_POLL_S = 0.05
@@ -146,6 +139,81 @@ _WIRE_ERRORS = {
     "DuplicateSetError": DuplicateSetError,
     "DurabilityError": DurabilityError,
 }
+
+
+class ServiceOverloadedError(RuntimeError):
+    """A worker queue was full; the request was rejected at admission."""
+
+
+def derive_seed(*parts) -> int:
+    """A stable 63-bit seed from arbitrary request parts.
+
+    SHA-256 over the ``repr`` of the parts: process-independent (unlike
+    builtin ``hash``), collision-resistant enough that distinct requests
+    get independent streams, and small enough for
+    ``numpy.random.default_rng``.  Unseeded stochastic requests get one
+    derived from their content and a ticket, so a request's result is a
+    pure function of (engine state, request) — independent of how the
+    worker batches it.
+    """
+    blob = "\x1f".join(repr(p) for p in parts).encode("utf-8")
+    digest = hashlib.sha256(blob).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
+
+
+class BatchPolicy:
+    """The micro-batching knobs of a pool.
+
+    ``max_batch``
+        Dispatch as soon as this many requests are gathered.
+    ``max_delay_ms``
+        Dispatch at most this long after the first request of a batch
+        arrived (0 coalesces only what is already queued, adding no
+        artificial latency).
+    ``queue_depth``
+        Bound of each worker's request queue — the admission-control
+        limit.
+    """
+
+    def __init__(self, max_batch: int = 128, max_delay_ms: float = 2.0,
+                 queue_depth: int = 1024):
+        if max_batch <= 0:
+            raise ValueError("max_batch must be positive")
+        if max_delay_ms < 0:
+            raise ValueError("max_delay_ms must be non-negative")
+        if queue_depth <= 0:
+            raise ValueError("queue_depth must be positive")
+        self.max_batch = int(max_batch)
+        self.max_delay_ms = float(max_delay_ms)
+        self.queue_depth = int(queue_depth)
+
+    def __repr__(self) -> str:
+        return (f"BatchPolicy(max_batch={self.max_batch}, "
+                f"max_delay_ms={self.max_delay_ms}, "
+                f"queue_depth={self.queue_depth})")
+
+
+def gather_batch(source, first, policy: BatchPolicy) -> list:
+    """Coalesce queued items under a max-delay / max-batch policy.
+
+    ``source`` is anything with the :class:`queue.Queue` blocking
+    surface (``get(timeout=)`` / ``get_nowait()`` raising
+    :class:`queue.Empty`), such as a worker's ``multiprocessing.Queue``.
+    Returns ``first`` plus whatever arrived before the deadline, capped
+    at ``policy.max_batch``.
+    """
+    batch = [first]
+    deadline = time.monotonic() + policy.max_delay_ms / 1e3
+    while len(batch) < policy.max_batch:
+        remaining = deadline - time.monotonic()
+        try:
+            if remaining <= 0:
+                batch.append(source.get_nowait())
+            else:
+                batch.append(source.get(timeout=remaining))
+        except queue.Empty:
+            break
+    return batch
 
 
 class WorkerDiedError(ServiceOverloadedError):
@@ -262,11 +330,10 @@ def _execute_batch(att: _WorkerAttachment, batch: list,
                    respond) -> None:
     """Partition one gathered batch by op and dispatch batch kernels.
 
-    Mirrors :meth:`~repro.service.scheduler.ShardWorker._execute`
-    exactly — sampling requests share one ``sample_many`` dispatch over
+    Sampling requests share one ``sample_many`` dispatch over
     per-request :class:`~repro.api.SampleSpec` seeds, reconstructions
-    group into ``reconstruct_many`` passes — which is what makes the
-    process tier bit-identical to the thread tier per request.
+    group into ``reconstruct_many`` passes — one tree walk per group,
+    with every result bit-identical to a direct engine call.
     """
     db = att.db
     samples: list[dict] = []
@@ -546,6 +613,7 @@ class ProcessShardPool:
         self._request_ids = itertools.count()
         self._started = False
         self._stopping = False
+        self._booting = False
 
         if durable:
             from repro.durability.recovery import open_durable
@@ -688,11 +756,37 @@ class ProcessShardPool:
         if self._started:
             return self
         self._stopping = False
-        for handle in self._workers:
-            self._spawn(handle)
-        self._await_ready(self._workers)
+        self._booting = True
+        try:
+            for handle in self._workers:
+                self._spawn(handle)
+            self._await_ready(self._workers)
+        except BaseException:
+            self._booting = False
+            self._abort_boot()
+            raise
+        self._booting = False
+        # A worker that died between reporting ready and the flag above
+        # was not respawned (the pump defers to boot): fail the boot.
+        dead = [h.shard_id for h in self._workers
+                if not h.process.is_alive()]
+        if dead:
+            self._abort_boot()
+            raise RuntimeError(f"worker(s) {dead} exited during boot")
         self._started = True
         return self
+
+    def _abort_boot(self) -> None:
+        """Kill whatever a failed :meth:`start` spawned, without respawn."""
+        self._stopping = True
+        for handle in self._workers:
+            if handle.process is not None and handle.process.is_alive():
+                handle.process.kill()
+        for handle in self._workers:
+            if handle.process is not None:
+                handle.process.join(timeout=5.0)
+            if handle.pump is not None:
+                handle.pump.join(timeout=5.0)
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.ready.clear()
@@ -715,13 +809,24 @@ class ProcessShardPool:
                 handle.requests, handle.responses)
 
     def _await_ready(self, handles) -> None:
+        """Wait until every handle attached; fail fast if one exits.
+
+        A worker that dies while attaching (a missing snapshot file, an
+        import error in the child) surfaces at once with its exit code
+        instead of after the full ready timeout.
+        """
         deadline = time.monotonic() + _READY_TIMEOUT_S
         for handle in handles:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not handle.ready.wait(remaining):
-                raise RuntimeError(
-                    f"worker {handle.shard_id} failed to attach within "
-                    f"{_READY_TIMEOUT_S:.0f}s")
+            while not handle.ready.wait(_PUMP_POLL_S):
+                code = handle.process.exitcode
+                if code is not None:
+                    raise RuntimeError(
+                        f"worker {handle.shard_id} exited with code {code} "
+                        f"while attaching to {self.directory}")
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(
+                        f"worker {handle.shard_id} failed to attach within "
+                        f"{_READY_TIMEOUT_S:.0f}s")
 
     def stop(self) -> None:
         """Drain and stop every worker process (idempotent)."""
@@ -772,7 +877,10 @@ class ProcessShardPool:
                 rid, ok, payload = handle.responses.get(timeout=_PUMP_POLL_S)
             except queue.Empty:
                 if handle.process is None or not handle.process.is_alive():
-                    if handle.stop_requested or self._stopping:
+                    if handle.stop_requested or self._stopping \
+                            or self._booting:
+                        # Boot failures belong to start(), which reports
+                        # the exit code; respawning would only loop.
                         return
                     self._on_worker_death(handle)
                     return
@@ -894,8 +1002,8 @@ class ProcessShardPool:
                timeout: float | None = None) -> Future:
         """Enqueue one read on the owning worker; returns a Future.
 
-        Admission control mirrors the thread tier: a full worker queue
-        rejects with :class:`ServiceOverloadedError` unless ``block``.
+        Admission control: a full worker queue rejects with
+        :class:`ServiceOverloadedError` unless ``block``.
         """
         if not self._started:
             raise RuntimeError("process pool is not started")
@@ -947,12 +1055,12 @@ class ProcessShardPool:
         """Register ids as occupied; fan out to every worker log.
 
         Returns the number of ids submitted (0 for backends without
-        occupancy, mirroring the thread tier's silent no-op).
+        occupancy, where the write is a silent no-op).
         """
         return self._occupancy("insert", ids)
 
     def retire_ids(self, ids) -> int:
-        """Retire ids from the occupied namespace, ring-wide."""
+        """Retire ids from the occupied namespace on every worker."""
         if not self.leader.spec.supports_remove:
             raise BackendCapabilityError(
                 f"tree backend {self.leader.config.tree!r} cannot remove "
@@ -980,7 +1088,7 @@ class ProcessShardPool:
         self._set_mutation("add_set", name, ids)
 
     def extend_set(self, name: str, ids) -> None:
-        """Insert elements into an existing named set, ring-wide."""
+        """Insert elements into an existing named set on every worker."""
         self._set_mutation("extend_set", name, ids)
 
     def _set_mutation(self, op: str, name: str, ids) -> None:
@@ -1141,7 +1249,7 @@ class ProcessShardPool:
         return dict(self._state)
 
     def readyz(self) -> dict:
-        """The ``/readyz`` payload: is the ring fully attached and serving?
+        """The ``/readyz`` payload: is every worker attached and serving?
 
         Distinct from liveness (``/healthz``): ready means every worker
         process is spawned, attached to the promoted snapshot, and
@@ -1189,17 +1297,15 @@ class ProcessShardPool:
 class ProcessService:
     """Client-shaped facade over a :class:`ProcessShardPool`.
 
-    Exposes the :class:`~repro.service.client.ServiceClient` method
-    surface returning the same wire dicts, so
-    :func:`repro.service.http.route_request` — and therefore both HTTP
-    front ends — dispatch against it unchanged.  Seeds are resolved
-    exactly like :class:`~repro.service.BloomService`: the caller's, or
-    ticket-derived so identical concurrent requests still get
+    Every method returns the wire dict the HTTP route serialises, so
+    :func:`repro.service.aserver.route_request` dispatches against it
+    directly.  Seeds are the caller's, or ticket-derived
+    (:func:`derive_seed`) so identical concurrent requests still get
     independent streams.
     """
 
     def __init__(self, pool: ProcessShardPool,
-                 timeout: float = _DEFAULT_TIMEOUT_S):
+                 timeout: float = DEFAULT_TIMEOUT_S):
         self.pool = pool
         self.timeout = timeout
         self._tickets = itertools.count()

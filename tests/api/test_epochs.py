@@ -247,3 +247,51 @@ class TestChainBound:
         # and a fresh-query read still works (no inheritance recursion)
         report = db.sample_many(specs(999))
         assert report.produced >= 0
+
+
+class TestEpochLifetime:
+    """Superseded epochs die by reference counting, not the cyclic GC.
+
+    An epoch's view, its delta chain, frontier rows and scratch buffers
+    are large; a reference cycle anywhere among them keeps every dead
+    epoch resident until a gen-2 collection, which under steady churn
+    reads as unbounded memory growth.
+    """
+
+    def test_pinned_epoch_keeps_one_view(self):
+        db = build_db(compact_threshold=10.0)
+        db.current_epoch()
+        churn(db)
+        pinned = db.current_epoch()
+        assert pinned.delta is not None
+        db.sample_many(specs(1))
+        first = db.current_epoch().view()
+        db.sample_many(specs(2))
+        assert db.current_epoch() is pinned
+        assert db.current_epoch().view() is first is pinned.view()
+
+    def test_superseded_delta_and_view_die_without_gc(self):
+        import gc
+        import weakref
+
+        db = build_db(compact_threshold=10.0)
+        db.sample_many(specs(0))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for step in range(3):
+                churn(db, seed=10 + step)
+                db.sample_many(specs(step))
+            epoch = db.current_epoch()
+            delta_ref = weakref.ref(epoch.delta)
+            view_ref = weakref.ref(epoch.view())
+            parent_ref = weakref.ref(epoch.delta.parent_frontier)
+            del epoch
+            db.compact()
+            db.sample_many(specs(7))
+            assert delta_ref() is None
+            assert view_ref() is None
+            assert parent_ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

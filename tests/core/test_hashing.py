@@ -13,6 +13,7 @@ from repro.core.hashing import (
     create_family,
     murmur3_32,
 )
+from repro.core.kernels import murmur3_32_int
 
 M = 1_024
 NAMESPACE = 10_000
@@ -49,6 +50,7 @@ class TestMurmurReference:
         for x, h in zip(xs.tolist(), ours.tolist()):
             expected = reference_murmur3_32(int(x).to_bytes(8, "little"), seed)
             assert h == expected, (x, seed)
+            assert murmur3_32_int(int(x), seed) == expected, (x, seed)
 
 
 class TestFamilyBasics:

@@ -24,7 +24,7 @@ from repro.replication import (
     Supervisor,
 )
 from repro.service import ServiceOverloadedError
-from repro.service.http import status_for
+from repro.service.aserver import status_for
 from tests.replication.conftest import (
     counter_total,
     probe,

@@ -1,51 +1,35 @@
-"""Observability over HTTP: ``/metrics`` and ``/trace`` on both servers.
+"""Observability over HTTP: ``/metrics`` and ``/trace``.
 
-The thread-tier :class:`ReproServer` and the asyncio
-:class:`AsyncReproServer` must both expose a valid Prometheus scrape
-(our own strict validator is the arbiter — the same one the
-``metrics-scrape-smoke`` CI job runs) and a ``/trace`` payload whose
-slowest-request ring carries per-stage spans.  Scraping must never
-disturb query results: a seeded sample is bit-identical before and
-after a scrape.
+The server must expose a valid Prometheus scrape (our own strict
+validator is the arbiter — the same one the ``metrics-scrape-smoke`` CI
+job runs) and a ``/trace`` payload whose slowest-request ring carries
+per-stage spans.  Scraping must never disturb query results: a seeded
+sample is bit-identical before and after a scrape.
 """
 
 import urllib.request
 
 import pytest
 
+from repro.api import BloomDB, EngineConfig
 from repro.obs.prometheus import (
     CONTENT_TYPE,
     parse_exposition,
     validate_exposition,
 )
-from repro.service import (
-    BloomService,
-    HTTPServiceClient,
-    ReproServer,
-    ServiceConfig,
-)
-from repro.service.aserver import AsyncReproServer
-from repro.service.client import ServiceClient
-from repro.service.pool import ShardedEnginePool
+from repro.service import HTTPServiceClient
 
 
 @pytest.fixture(scope="module")
-def obs_config(engine_config):
+def server(make_server, engine_config, workload):
     """Compiled plan + delta overlay so the deep stages are exercised."""
-    from repro.api import EngineConfig
-
-    return EngineConfig(namespace_size=engine_config.namespace_size,
-                        accuracy=0.9, set_size=150, seed=5,
-                        plan="compiled", mutation="delta", tree="dynamic")
-
-
-@pytest.fixture(scope="module")
-def server(obs_config, workload):
-    pool = ShardedEnginePool(obs_config, 2)
-    service = BloomService(pool, ServiceConfig(shards=2, max_delay_ms=1.0))
+    config = EngineConfig(namespace_size=engine_config.namespace_size,
+                          accuracy=0.9, set_size=150, seed=5,
+                          plan="compiled", mutation="delta", tree="dynamic")
+    db = BloomDB.from_config(config)
     for name, ids in workload:
-        service.add_set(name, ids)
-    with ReproServer(service, port=0) as running:
+        db.add_set(name, ids)
+    with make_server(db, workers=2) as running:
         yield running
 
 
@@ -146,58 +130,12 @@ class TestTraceOverHTTP:
 
 
 class TestScrapeDoesNotPerturbResults:
-    def test_seeded_sample_identical_around_a_scrape(self, server, client,
+    def test_seeded_sample_identical_around_a_scrape(self, client,
                                                      workload):
         name = workload[3][0]
-        direct = ServiceClient(server.service)
-        before = direct.sample(name, r=5, seed=77)
+        before = client.sample(name, r=5, seed=77)
         client.metrics_text()
         client.trace()
         client.stats()
-        after = direct.sample(name, r=5, seed=77)
+        after = client.sample(name, r=5, seed=77)
         assert before == after
-
-
-class _LifecycleFacade(ServiceClient):
-    """In-process facade delegating the lifecycle the server drives."""
-
-    def start(self):
-        self.service.start()
-        return self
-
-    def stop(self):
-        self.service.stop()
-
-    def close(self):
-        self.service.close()
-
-
-class TestAsyncServerEndpoints:
-    @pytest.fixture(scope="class")
-    def aserver(self, obs_config, workload):
-        pool = ShardedEnginePool(obs_config, 2)
-        service = BloomService(pool,
-                               ServiceConfig(shards=2, max_delay_ms=1.0))
-        for name, ids in workload:
-            service.add_set(name, ids)
-        facade = _LifecycleFacade(service)
-        with AsyncReproServer(facade, port=0) as running:
-            yield running
-
-    def test_async_metrics_scrape_valid(self, aserver, workload):
-        client = HTTPServiceClient(aserver.url)
-        drive(client, workload, n=4, seed=2100)
-        with urllib.request.urlopen(aserver.url + "/metrics",
-                                    timeout=10) as resp:
-            assert resp.headers["Content-Type"] == CONTENT_TYPE
-            text = resp.read().decode("utf-8")
-        assert validate_exposition(text) == []
-        families = parse_exposition(text)
-        assert unlabeled_value(families, "served_total") >= 4
-
-    def test_async_trace_route(self, aserver, workload):
-        client = HTTPServiceClient(aserver.url)
-        drive(client, workload, n=2, seed=2300)
-        payload = client.trace()
-        assert payload["slowest"]
-        assert "queue" in payload["slowest"][0]["spans"]

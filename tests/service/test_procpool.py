@@ -1,13 +1,12 @@
 """Cross-process bit-identity: the tentpole correctness property.
 
 The same seeded request batch must produce identical values *and*
-operation counters through every tier: direct engine calls, the
-in-thread scheduler, a 1-process pool and a 4-process pool.  Identity
-holds because every stochastic request carries its own seed, every tier
-dispatches through the same batched kernels over the same compiled
-plan, and worker processes replay the leader's mutations through the
-recovery core — so batch composition, shard count and process count are
-all unobservable.
+operation counters through direct engine calls, a 1-process pool and a
+4-process pool.  Identity holds because every stochastic request carries
+its own seed, every path dispatches through the same batched kernels
+over the same compiled plan, and worker processes replay the leader's
+mutations through the recovery core — so batch composition and process
+count are unobservable.
 """
 
 import json
@@ -17,15 +16,8 @@ import numpy as np
 import pytest
 
 from repro.api import BloomDB, EngineConfig, SampleSpec
-from repro.service import (
-    BatchPolicy,
-    BloomService,
-    ProcessService,
-    ProcessShardPool,
-    ServiceConfig,
-)
+from repro.service import BatchPolicy, ProcessService, ProcessShardPool
 from repro.service.client import encode_result
-from repro.service.pool import ShardedEnginePool
 from repro.service.procpool import (
     EPOCH_FILE,
     WORKER_WAL_DIR,
@@ -75,18 +67,6 @@ def run_direct(db, plan):
     return [encode_result(res) for res in db.sample_many(specs).ordered()]
 
 
-def run_threaded(compiled_config, workload, plan):
-    pool = ShardedEnginePool(compiled_config, 4)
-    service = BloomService(pool, ServiceConfig(shards=4))
-    for name, ids in workload:
-        service.add_set(name, ids)
-    with service:
-        futures = [service.submit_sample(r["name"], r["rounds"],
-                                         r["replacement"], seed=r["seed"])
-                   for r in plan]
-        return [encode_result(f.result(60)) for f in futures]
-
-
 def run_process_pool(serving_dir, workers, plan):
     pool = ProcessShardPool(serving_dir, workers,
                             policy=BatchPolicy(max_batch=64,
@@ -102,18 +82,16 @@ def run_process_pool(serving_dir, workers, plan):
 
 
 class TestCrossProcessBitIdentity:
-    def test_one_and_four_process_pools_match_thread_tier_and_engine(
-            self, compiled_db, compiled_config, workload, serving_dir):
-        """The satellite property: 4 tiers, one answer — ops included."""
+    def test_one_and_four_process_pools_match_the_engine(
+            self, compiled_db, workload, serving_dir):
+        """Direct calls and both pool sizes: one answer — ops included."""
         names = [name for name, _ in workload]
         plan = request_plan(names)
         direct = run_direct(compiled_db, plan)
-        threaded = run_threaded(compiled_config, workload, plan)
         single = run_process_pool(serving_dir, 1, plan)
         multi = run_process_pool(serving_dir, 4, plan)
         # Dict equality covers values, requested, shortfall AND the
         # OpCounter payload (intersections/memberships/nodes/backtracks).
-        assert threaded == direct
         assert single == direct
         assert multi == direct
 
@@ -220,6 +198,10 @@ class TestGuardRails:
         with pytest.raises(ValueError, match="compiled"):
             ProcessShardPool(tmp_path / "objects", 2)
 
+    def test_needs_at_least_one_worker(self, serving_dir):
+        with pytest.raises(ValueError, match="worker"):
+            ProcessShardPool(serving_dir, 0)
+
     def test_submit_rejects_write_ops(self, serving_dir):
         pool = ProcessShardPool(serving_dir, 1)
         pool.start()
@@ -247,3 +229,20 @@ class TestGuardRails:
                 pool.checkpoint()
         finally:
             pool.close()
+
+    def test_worker_boot_failure_fails_start_fast(self, compiled_db,
+                                                  tmp_path):
+        """A worker that dies while attaching is reported, not respawned."""
+        import time
+
+        directory = tmp_path / "engine"
+        compiled_db.save(directory)
+        pool = ProcessShardPool(directory, 2)
+        (directory / pool.epoch_state()["plan"]).unlink()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code"):
+            pool.start()
+        assert time.monotonic() - started < 20.0
+        assert pool.metrics.counter("worker_restarts") == 0
+        assert not any(info["alive"] for info in pool.workers_info())
+        pool.close()

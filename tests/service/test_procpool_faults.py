@@ -23,7 +23,7 @@ from repro.service import (
     WorkerDiedError,
 )
 from repro.service.client import encode_result
-from repro.service.http import status_for
+from repro.service.aserver import status_for
 
 NAMESPACE = 8_000
 _RESPAWN_DEADLINE_S = 30.0

@@ -1,115 +1,54 @@
-"""``/healthz`` vs ``/readyz`` on both HTTP tiers.
+"""``/healthz`` vs ``/readyz`` on the HTTP front end.
 
-Liveness ("the process answers") and readiness ("the ring can serve")
-are different questions; CI's wait-for-boot polls and any load balancer
-need the second one.  Both tiers must answer ``/readyz`` with the same
-JSON shape, flip the status code (200/503) on the ``ready`` flag, and
-send ``Retry-After`` with every 503.
+Liveness ("the process answers") and readiness ("every worker can
+serve") are different questions; CI's wait-for-boot polls and any load
+balancer need the second one.  ``/readyz`` flips its status code
+(200/503) on the ``ready`` flag, keeps the same JSON body either way,
+and sends ``Retry-After`` with every 503.
 """
 
+import json
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service import (
-    AsyncReproServer,
-    BloomService,
-    HTTPServiceClient,
-    ReproServer,
-    ServiceClient,
-    ServiceConfig,
-)
-from repro.service.pool import ShardedEnginePool
+from repro.service import HTTPServiceClient
 
 
 @pytest.fixture(scope="module")
-def thread_server(engine_config, workload):
-    pool = ShardedEnginePool(engine_config, 2)
-    service = BloomService(pool, ServiceConfig(shards=2, max_delay_ms=1.0))
-    for name, ids in workload:
-        service.add_set(name, ids)
-    with ReproServer(service, port=0) as running:
+def server(make_server, compiled_db):
+    with make_server(compiled_db, workers=2) as running:
         yield running
 
 
-class _LifecycleFacade(ServiceClient):
-    def start(self):
-        self.service.start()
-        return self
-
-    def stop(self):
-        self.service.stop()
-
-    def close(self):
-        self.service.close()
+def test_healthz_is_liveness_only(server):
+    assert HTTPServiceClient(server.url).healthz() == {"ok": True}
 
 
-@pytest.fixture(scope="module")
-def async_server(engine_config, workload):
-    pool = ShardedEnginePool(engine_config, 2)
-    service = BloomService(pool, ServiceConfig(shards=2, max_delay_ms=1.0))
-    for name, ids in workload:
-        service.add_set(name, ids)
-    with AsyncReproServer(_LifecycleFacade(service), port=0) as running:
-        yield running
+def test_readyz_reports_every_worker(server):
+    payload = HTTPServiceClient(server.url).readyz()
+    assert payload["ready"] is True
+    assert payload["mode"] == "process"
+    assert payload["workers"] == 2
+    assert payload["alive"] == 2
 
 
-class TestThreadTier:
-    def test_healthz_is_liveness_only(self, thread_server):
-        client = HTTPServiceClient(thread_server.url)
-        assert client.healthz() == {"ok": True}
-
-    def test_readyz_reports_the_scheduler_ring(self, thread_server):
-        payload = HTTPServiceClient(thread_server.url).readyz()
-        assert payload["ready"] is True
-        assert payload["mode"] == "thread"
-        assert payload["workers"] == 2
-        assert payload["alive"] == 2
-
-    def test_readyz_answers_200_when_ready(self, thread_server):
-        with urllib.request.urlopen(thread_server.url + "/readyz",
-                                    timeout=10) as response:
-            assert response.status == 200
-
-    def test_in_process_client_agrees(self, thread_server):
-        payload = ServiceClient(thread_server.service).readyz()
-        assert payload["ready"] is True
-        assert payload["workers"] == 2
-
-    def test_not_ready_is_a_503_with_retry_after(self, engine_config,
-                                                 workload):
-        pool = ShardedEnginePool(engine_config, 2)
-        service = BloomService(pool,
-                               ServiceConfig(shards=2, max_delay_ms=1.0))
-        for name, ids in workload[:2]:
-            service.add_set(name, ids)
-        with ReproServer(service, port=0) as running:
-            service.stop()  # workers drained: alive, but not ready
-            with pytest.raises(urllib.error.HTTPError) as info:
-                urllib.request.urlopen(running.url + "/readyz", timeout=10)
-            assert info.value.code == 503
-            assert info.value.headers.get("Retry-After") == "1"
-            # The body still carries the full readiness detail.
-            import json
-            payload = json.loads(info.value.read().decode("utf-8"))
-            assert payload["ready"] is False
-            # The client returns that payload instead of raising.
-            assert HTTPServiceClient(running.url).readyz() == payload
+def test_readyz_answers_200_when_ready(server):
+    with urllib.request.urlopen(server.url + "/readyz",
+                                timeout=10) as response:
+        assert response.status == 200
 
 
-class TestAsyncTier:
-    def test_healthz(self, async_server):
-        client = HTTPServiceClient(async_server.url)
-        assert client.healthz() == {"ok": True}
-
-    def test_readyz_shape_matches_the_thread_tier(self, async_server):
-        payload = HTTPServiceClient(async_server.url).readyz()
-        assert payload["ready"] is True
-        assert payload["mode"] == "thread"
-        assert payload["workers"] == 2
-
-    def test_readyz_answers_200_when_ready(self, async_server):
-        with urllib.request.urlopen(async_server.url + "/readyz",
-                                    timeout=10) as response:
-            assert response.status == 200
+def test_not_ready_is_a_503_with_retry_after(make_server, compiled_db):
+    with make_server(compiled_db, workers=1) as running:
+        running.client.pool.stop()  # workers drained: not ready
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(running.url + "/readyz", timeout=10)
+        assert info.value.code == 503
+        assert info.value.headers.get("Retry-After") == "1"
+        # The body still carries the full readiness detail.
+        payload = json.loads(info.value.read().decode("utf-8"))
+        assert payload["ready"] is False
+        # The client returns that payload instead of raising.
+        assert HTTPServiceClient(running.url).readyz() == payload

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.service.metrics import BATCH_BUCKETS, Histogram, Metrics
+from repro.obs.metrics import BATCH_BUCKETS, Histogram, Metrics
 
 
 class TestHistogram:
